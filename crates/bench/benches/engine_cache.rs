@@ -10,17 +10,12 @@
 //!   rayon-parallel engine,
 //! * the ROADMAP eviction-policy experiment: LRU vs LFU vs Adaptive
 //!   hit-rate table under Zipf-skewed request streams at several skews and
-//!   capacities (Adaptive must track the winner without being told),
-//! * the shared-vs-private-store experiment behind `sild`: aggregate hit
-//!   rate of a `ShardedService` whose shards share one store vs. the same
-//!   shard count over private per-shard stores, at fixed *total* capacity,
-//!   over Zipf-skewed streams of real programs.
+//!   capacities (Adaptive must track the winner without being told).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sil_engine::service::{route_fingerprint, Request, Service, ShardedService};
 use sil_engine::{Engine, EngineConfig, EvictionPolicy, NamespaceCache};
 use sil_workloads::programs::Workload;
 use std::hint::black_box;
@@ -93,10 +88,7 @@ fn incremental_edit(c: &mut Criterion) {
     let edited = base.replace("h.value := h.value + n", "h.value := h.value + n + 0");
     assert_ne!(base, edited);
 
-    let cold_engine = Engine::new(EngineConfig {
-        incremental: false,
-        ..EngineConfig::default()
-    });
+    let cold_engine = Engine::new(EngineConfig::default());
     group.bench_function("cold_full", |b| {
         b.iter(|| {
             cold_engine.clear_caches();
@@ -188,124 +180,6 @@ fn eviction_policy_hit_rates(c: &mut Criterion) {
     group.finish();
 }
 
-/// 64 distinct real programs (every workload at several sizes), ranked so
-/// Zipf rank 1 is the hottest.
-fn program_corpus() -> Vec<String> {
-    let mut corpus = Vec::new();
-    for size in 3..=9u32 {
-        for workload in Workload::ALL {
-            corpus.push(workload.source(size));
-            if corpus.len() == 64 {
-                return corpus;
-            }
-        }
-    }
-    corpus
-}
-
-/// Zipf stream config shared by both store layouts, so the comparison is
-/// apples to apples: same corpus, same seed, same fixed *total* capacity.
-fn zipf_ranks(corpus_len: usize, skew: f64, requests: usize) -> Vec<usize> {
-    let zipf = Zipf::new(corpus_len as u64, skew).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    (0..requests)
-        .map(|_| zipf.sample(&mut rng) as usize - 1)
-        .collect()
-}
-
-/// Drive one Zipf-skewed stream of `Analyze` requests through a sharded
-/// service whose shards all share **one** store of `total_capacity`;
-/// returns the aggregate program hit rate across the shard views.
-fn simulate_shared(shards: usize, total_capacity: usize, skew: f64, requests: usize) -> f64 {
-    let corpus = program_corpus();
-    let config = EngineConfig::default()
-        .with_program_cache_capacity(total_capacity)
-        .with_eviction(EvictionPolicy::Lru)
-        .with_incremental(false);
-    let service = ShardedService::new(shards, config);
-    for rank in zipf_ranks(corpus.len(), skew, requests) {
-        black_box(service.call(Request::analyze(corpus[rank].clone())));
-    }
-    let stats = service.shard_stats();
-    let hits: u64 = stats.iter().map(|s| s.programs.hits).sum();
-    let misses: u64 = stats.iter().map(|s| s.programs.misses).sum();
-    hits as f64 / (hits + misses) as f64
-}
-
-/// The pre-store layout: the same shard count over *private* per-engine
-/// stores that split the same total capacity, requests routed by the same
-/// fingerprint rule.
-fn simulate_private(shards: usize, total_capacity: usize, skew: f64, requests: usize) -> f64 {
-    let corpus = program_corpus();
-    let config = EngineConfig::default()
-        .with_program_cache_capacity((total_capacity / shards).max(1))
-        .with_eviction(EvictionPolicy::Lru)
-        .with_incremental(false);
-    let engines: Vec<Engine> = (0..shards).map(|_| Engine::new(config.clone())).collect();
-    let routes: Vec<usize> = corpus
-        .iter()
-        .map(|src| (route_fingerprint(src) % shards as u64) as usize)
-        .collect();
-    for rank in zipf_ranks(corpus.len(), skew, requests) {
-        black_box(engines[routes[rank]].analyze_source(&corpus[rank]).unwrap());
-    }
-    let mut hits = 0;
-    let mut misses = 0;
-    for engine in &engines {
-        let stats = engine.stats();
-        hits += stats.programs.hits;
-        misses += stats.programs.misses;
-    }
-    hits as f64 / (hits + misses) as f64
-}
-
-/// The shared-store experiment behind `sild`: at fixed total capacity,
-/// shards over one shared store keep the single-engine hit rate at any
-/// shard count (shared content is stored once), while private per-shard
-/// stores fragment the capacity.  The table quantifies both layouts under
-/// Zipf-skewed request streams of *real programs*; the 1-shard private row
-/// doubles as the single-engine baseline.
-fn shared_vs_private_hit_rates(c: &mut Criterion) {
-    let requests = if std::env::var_os("CRITERION_SMOKE").is_some() {
-        60
-    } else {
-        240
-    };
-    println!(
-        "shared-vs-private store hit rates ({requests} Zipf requests over 64 real \
-         programs, total program capacity 16):"
-    );
-    println!(
-        "{:>6} {:>7} {:>9} {:>9}",
-        "skew", "shards", "private", "shared"
-    );
-    for &skew in &[0.9, 1.2] {
-        let baseline = simulate_private(1, 16, skew, requests);
-        for &shards in &[1usize, 2, 4, 8] {
-            let private = simulate_private(shards, 16, skew, requests);
-            let shared = simulate_shared(shards, 16, skew, requests);
-            println!(
-                "{skew:>6.1} {shards:>7} {:>8.1}% {:>8.1}%{}",
-                private * 100.0,
-                shared * 100.0,
-                if shared + 1e-9 >= baseline {
-                    ""
-                } else {
-                    "  << below single-engine baseline!"
-                }
-            );
-        }
-    }
-
-    let mut group = c.benchmark_group("engine_shared_store_zipf");
-    for shards in [1usize, 4] {
-        group.bench_function(format!("shared_{shards}"), |b| {
-            b.iter(|| black_box(simulate_shared(shards, 16, 1.2, requests / 4)))
-        });
-    }
-    group.finish();
-}
-
 fn batch_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_batch_all_workloads");
     let sources: Vec<String> = Workload::ALL
@@ -335,7 +209,6 @@ criterion_group! {
     incremental_edit,
     summary_reuse_across_variants,
     batch_throughput,
-    eviction_policy_hit_rates,
-    shared_vs_private_hit_rates
+    eviction_policy_hit_rates
 }
 criterion_main!(engine_cache);

@@ -6,7 +6,7 @@
 //! temp Unix socket — the serve-many-cheap-consumers-from-a-shared-cache
 //! shape the NDN caching literature evaluates.  The table reports
 //! throughput (requests/sec) and client-observed p50 latency per cell;
-//! both servers answer from the same `ShardedService`, so any difference
+//! both servers answer from the same kind of `Engine`, so any difference
 //! is the serving strategy, not the analysis.
 //!
 //! The corpus is primed once per daemon before measuring, so the measured
@@ -18,9 +18,9 @@ use rand::distributions::{Distribution, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sil_engine::service::{
-    RemoteService, Request, Response, Server, ServerKind, ServerOptions, Service, ShardedService,
+    RemoteService, Request, Response, Server, ServerKind, ServerOptions, Service,
 };
-use sil_engine::{Addr, EngineConfig};
+use sil_engine::{Addr, Engine};
 use sil_workloads::programs::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,7 +57,7 @@ struct CellResult {
 /// latencies.
 fn run_cell(kind: ServerKind, connections: usize, requests: usize) -> CellResult {
     let corpus = Arc::new(program_corpus());
-    let service = Arc::new(ShardedService::new(4, EngineConfig::default()));
+    let service = Arc::new(Engine::default());
     let server = Server::bind_with(
         &temp_socket(&format!("{}-{connections}", kind.name())),
         service,
@@ -153,7 +153,7 @@ fn threaded_vs_async(c: &mut Criterion) {
 
     println!(
         "daemon serving strategies ({requests} warm Zipf analyze requests over 64 real \
-         programs, 4 shards, unix socket):"
+         programs, one engine, unix socket):"
     );
     println!(
         "{:>9} {:>12} {:>12} {:>10} {:>10}",

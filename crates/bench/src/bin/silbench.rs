@@ -37,9 +37,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
     Json, RemoteService, Request, Response, Server, ServerKind, ServerOptions, Service,
-    ShardedService,
 };
-use sil_engine::{Addr, EngineConfig};
+use sil_engine::{Addr, Engine};
 use sil_workloads::programs::Workload;
 use silobs::{Histogram, HistogramSummary};
 use std::io::{BufRead, BufReader, Write};
@@ -280,7 +279,7 @@ fn server_p99_since(addr: &str, since: u64) -> u64 {
 /// Run the whole sweep against one serving strategy: fresh daemon, primed
 /// corpus, ascending offered loads over the same warm caches.
 fn run_server(kind: ServerKind, sweep: &Sweep, corpus: &[String]) -> (String, Vec<Point>) {
-    let service = Arc::new(ShardedService::new(4, EngineConfig::default()));
+    let service = Arc::new(Engine::default());
     let server = Server::bind_with(
         &temp_socket(kind.name()),
         service,

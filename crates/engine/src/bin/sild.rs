@@ -1,17 +1,14 @@
 //! `sild` — the SIL analysis daemon.
 //!
-//! Hosts a [`ShardedService`]: N memoizing engines behind one socket, all
-//! views over **one shared, lock-striped summary store**, with requests
-//! routed to shards by stable program fingerprint.  Routing concentrates
-//! each program's traffic on one shard; the shared store lets a cone
-//! analyzed on one shard warm-hit every other.  Clients (`silp --connect`,
+//! Hosts one memoizing [`Engine`] behind one socket, over one lock-striped
+//! summary store that every connection shares.  Clients (`silp --connect`,
 //! or anything that can write a line of JSON) speak the newline-delimited
 //! protocol of `sil_engine::service::proto`; one thread serves each
 //! connection.
 //!
 //! ```text
-//! sild --listen unix:/tmp/sild.sock               4 shards on a unix socket
-//! sild --listen tcp:127.0.0.1:7777 --shards 8     8 shards on TCP
+//! sild --listen unix:/tmp/sild.sock               serve on a unix socket
+//! sild --listen tcp:127.0.0.1:7777                serve on TCP
 //! sild --listen unix:/tmp/sild.sock --async       silio event loop (Linux)
 //! silp --connect unix:/tmp/sild.sock --workload all
 //! ```
@@ -25,8 +22,8 @@
 //! --shutdown` or a raw `{"protocol_version":2,"type":"shutdown"}` line).
 
 use sil_engine::cli::unknown_flag_error;
-use sil_engine::service::{Addr, Server, ServerKind, ServerOptions, ShardedService};
-use sil_engine::{DurableConfig, EngineConfig, EvictionPolicy, PeerConfig, PeerRing};
+use sil_engine::service::{Addr, Server, ServerKind, ServerOptions};
+use sil_engine::{DurableConfig, Engine, EngineConfig, EvictionPolicy, PeerConfig, PeerRing};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +34,6 @@ usage: sild --listen <addr> [options]
 options:
   --listen <addr>     address to serve: unix:<path> or tcp:<host:port>
                       (tcp:host:0 picks a free port and prints it)
-  --shards <n>        number of engine shards (default: 4); requests are
-                      routed by program fingerprint, shard = fingerprint % n
   --async             serve with the event-driven (epoll) server instead of
                       one thread per connection (Linux; falls back to the
                       threaded server elsewhere)
@@ -78,15 +73,13 @@ options:
                       ring served via `silp --top`)
   --recorder-capacity <n>   samples the flight recorder retains
                       (default: 256)
-  --no-incremental    disable incremental re-analysis inside the shards
-  --no-parallel       analyze sequentially inside each shard
+  --no-parallel       analyze sequentially (batches and call-graph SCCs)
   --quiet             no startup/shutdown log lines on stderr
   -h, --help          this message
 ";
 
 const KNOWN_FLAGS: &[&str] = &[
     "--listen",
-    "--shards",
     "--async",
     "--workers",
     "--lfu",
@@ -103,7 +96,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--slow-us",
     "--recorder-interval",
     "--recorder-capacity",
-    "--no-incremental",
     "--no-parallel",
     "--quiet",
     "--help",
@@ -111,7 +103,6 @@ const KNOWN_FLAGS: &[&str] = &[
 
 struct Cli {
     listen: Addr,
-    shards: usize,
     config: EngineConfig,
     server: ServerOptions,
     quiet: bool,
@@ -136,7 +127,6 @@ fn positive_count(args: &[String], i: &mut usize, flag: &str) -> Result<u64, Str
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut listen: Option<Addr> = None;
-    let mut shards = 4usize;
     let mut config = EngineConfig::default();
     let mut server = ServerOptions::default();
     let mut quiet = false;
@@ -155,7 +145,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 let raw = args.get(i).ok_or("--listen needs an address")?;
                 listen = Some(Addr::parse(raw)?);
             }
-            flag @ "--shards" => shards = positive_count(args, &mut i, flag)? as usize,
             "--async" => server.kind = ServerKind::Async,
             flag @ "--workers" => server.workers = positive_count(args, &mut i, flag)? as usize,
             "--lfu" => config = config.with_eviction(EvictionPolicy::Lfu),
@@ -191,7 +180,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             flag @ "--recorder-capacity" => {
                 server.recorder_capacity = positive_count(args, &mut i, flag)? as usize;
             }
-            "--no-incremental" => config = config.with_incremental(false),
             "--no-parallel" => config = config.with_parallel(false),
             "--quiet" => quiet = true,
             "-h" | "--help" => return Err(String::new()),
@@ -226,7 +214,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     }
     Ok(Cli {
         listen,
-        shards,
         config,
         server,
         quiet,
@@ -251,8 +238,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let service =
-        Arc::new(ShardedService::new(cli.shards, cli.config).with_peer_serve(!cli.no_peer_serve));
+    let engine = Arc::new(Engine::new(cli.config).with_peer_serve(!cli.no_peer_serve));
     let ring = if cli.peers.is_empty() {
         None
     } else {
@@ -260,11 +246,11 @@ fn main() -> ExitCode {
         if let Some(ms) = cli.gossip_interval {
             peer_config = peer_config.with_gossip_interval(Duration::from_millis(ms));
         }
-        let ring = PeerRing::spawn(peer_config, service.tracer().clone());
-        service.store().attach_peers(ring.clone());
+        let ring = PeerRing::spawn(peer_config, engine.tracer().clone());
+        engine.store().attach_peers(ring.clone());
         Some(ring)
     };
-    let server = match Server::bind_with(&cli.listen, service, cli.server) {
+    let server = match Server::bind_with(&cli.listen, engine, cli.server) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("sild: cannot listen on {}: {e}", cli.listen);
@@ -276,10 +262,8 @@ fn main() -> ExitCode {
             eprintln!("sild: --async is not supported on this platform; serving threaded");
         }
         eprintln!(
-            "sild: listening on {} with {} shard{} ({} server){}",
+            "sild: listening on {} ({} server){}",
             server.addr(),
-            cli.shards,
-            if cli.shards == 1 { "" } else { "s" },
             server.kind().name(),
             match cli.peers.len() {
                 0 => String::new(),

@@ -9,8 +9,8 @@
 //! silp --emit-parallel ...          include the parallelized source
 //! silp --no-parallelize ...         analysis only
 //! silp --lfu / --lru                pin the eviction policy (default: adaptive)
-//! silp --stats ...                  print per-namespace/per-shard cache
-//!                                   statistics at exit
+//! silp --stats ...                  print per-namespace cache statistics
+//!                                   at exit
 //! silp --metrics ...                print the service's metrics registry
 //!                                   (counters, gauges, latency quantiles)
 //! silp --trace-dump ...             dump retained trace spans as ndjson
@@ -27,11 +27,9 @@
 //! verifier reports violations, or the transport drops.
 
 use sil_engine::cli::unknown_flag_error;
-use sil_engine::service::{
-    Json, LocalService, RemoteService, Request, Response, Service, TraceSpan,
-};
+use sil_engine::service::{Json, RemoteService, Request, Response, Service, TraceSpan};
 use sil_engine::{
-    EngineConfig, EngineStats, EvictionPolicy, Namespace, ProcessOptions, ProgramReport,
+    Engine, EngineConfig, EngineStats, EvictionPolicy, Namespace, ProcessOptions, ProgramReport,
     ServerStats, ServiceError, StoreStats,
 };
 use sil_workloads::Workload;
@@ -50,17 +48,17 @@ options:
   --no-parallelize       stop after the analysis
   --no-verify            skip static verification of the parallel output
   --emit-parallel        include the parallelized source in the report
-  --incremental          process inputs sequentially in the given order and
-                         re-analyze edited variants incrementally: procedures
-                         whose call-graph cone is unchanged reuse retained
-                         walks, and the report carries stale/reused counts
+  --incremental          process inputs sequentially in the given order, so
+                         edited variants reuse their predecessors' retained
+                         walks (procedures whose call-graph cone is
+                         unchanged), and show the stale/reused counts
   --json                 emit one JSON array instead of text
   --lfu                  evict least-frequently-used cache entries
                          (in-process engine only; default: adaptive)
   --lru                  evict least-recently-used cache entries
                          (in-process engine only; default: adaptive)
   --stats                print service cache statistics: per-namespace and
-                         per-shard hit rates, eviction counts, and the
+                         engine-view hit rates, eviction counts, and the
                          adaptive policy's current choice (a text table on
                          stderr; one stats JSON line with --json)
   --metrics              print the service's metrics registry — counters,
@@ -300,12 +298,9 @@ fn open_service(cli: &Cli) -> Result<Box<dyn Service>, String> {
                 .map_err(|e| format!("handshake with {addr} failed: {e}"))?;
             Ok(Box::new(remote))
         }
-        None => {
-            let config = EngineConfig::default()
-                .with_eviction(cli.eviction)
-                .with_incremental(cli.incremental);
-            Ok(Box::new(LocalService::new(config)))
-        }
+        None => Ok(Box::new(Engine::new(
+            EngineConfig::default().with_eviction(cli.eviction),
+        ))),
     }
 }
 
@@ -323,21 +318,11 @@ fn percent(hits: u64, misses: u64) -> String {
 }
 
 /// The `--stats` text table: the serving daemon's connection counters
-/// (when a daemon answered), the shared store's per-namespace counters
-/// (with each adaptive policy's current choice), and every shard's view
-/// hit rates.
-fn render_stats(
-    shards: &[EngineStats],
-    store: &StoreStats,
-    server: Option<&ServerStats>,
-) -> String {
+/// (when a daemon answered), the store's per-namespace counters (with each
+/// adaptive policy's current choice), and the engine's view hit rates.
+fn render_stats(view: &EngineStats, store: &StoreStats, server: Option<&ServerStats>) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "service: {} shard{} over one shared store",
-        shards.len(),
-        if shards.len() == 1 { "" } else { "s" },
-    );
+    let _ = writeln!(out, "service: one engine over one store");
     if let Some(server) = server {
         let _ = writeln!(
             out,
@@ -404,23 +389,20 @@ fn render_stats(
             peer.serves,
         );
     }
-    let _ = writeln!(out, "  shard views (hit rate per namespace):");
-    for (index, shard) in shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {:<10} programs {} ({}/{})  summaries {} ({}/{})  walks {} ({}/{})",
-            format!("shard {index}"),
-            percent(shard.programs.hits, shard.programs.misses),
-            shard.programs.hits,
-            shard.programs.hits + shard.programs.misses,
-            percent(shard.summaries.hits, shard.summaries.misses),
-            shard.summaries.hits,
-            shard.summaries.hits + shard.summaries.misses,
-            percent(shard.walks.hits, shard.walks.misses),
-            shard.walks.hits,
-            shard.walks.hits + shard.walks.misses,
-        );
-    }
+    let _ = writeln!(
+        out,
+        "  {:<10} programs {} ({}/{})  summaries {} ({}/{})  walks {} ({}/{})",
+        "view",
+        percent(view.programs.hits, view.programs.misses),
+        view.programs.hits,
+        view.programs.hits + view.programs.misses,
+        percent(view.summaries.hits, view.summaries.misses),
+        view.summaries.hits,
+        view.summaries.hits + view.summaries.misses,
+        percent(view.walks.hits, view.walks.misses),
+        view.walks.hits,
+        view.walks.hits + view.walks.misses,
+    );
     out
 }
 
@@ -700,15 +682,6 @@ fn main() -> ExitCode {
         };
     }
 
-    if cli.incremental && cli.connect.is_some() {
-        eprintln!(
-            "silp: note: over --connect, incremental reuse depends on the daemon's shard \
-             layout — an edit routes by its own fingerprint and may land on a shard that \
-             never saw the base program's cones (run sild with --shards 1 for guaranteed \
-             reuse)"
-        );
-    }
-
     let sources: Vec<String> = cli.inputs.iter().map(|(_, src)| src.clone()).collect();
     // Incremental mode processes the inputs in their given order, one
     // request at a time: an input is an edit of an earlier one, and must
@@ -776,8 +749,9 @@ fn main() -> ExitCode {
     }
     if cli.stats {
         if cli.json {
-            // The raw wire form of the Stats response: shard views, their
-            // aggregate, and the store's per-namespace counters.
+            // The raw wire form of the Stats response: the engine's view
+            // (as a one-element shard list), its total, and the store's
+            // per-namespace counters.
             match service.call(Request::stats()) {
                 stats @ Response::Stats { .. } => eprintln!("{}", stats.encode()),
                 Response::Error { error, .. } => eprintln!("silp: stats failed: {error}"),
@@ -785,8 +759,8 @@ fn main() -> ExitCode {
             }
         } else {
             match service.service_stats() {
-                Ok((shards, _total, store, server)) => {
-                    eprint!("{}", render_stats(&shards, &store, server.as_ref()))
+                Ok((_, view, store, server)) => {
+                    eprint!("{}", render_stats(&view, &store, server.as_ref()))
                 }
                 Err(error) => eprintln!("silp: stats failed: {error}"),
             }

@@ -23,10 +23,11 @@
 //!   body walks, keyed by cone fingerprint, which make re-analysis of
 //!   edited programs incremental.
 //!
-//! An [`Engine`] is a *view* over an `Arc<SummaryStore>`: several engines
-//! (the shards of a [`service::ShardedService`], for instance) can share
-//! one store, so a cone analyzed through any of them is a warm hit for all
-//! of them.  Each namespace is lock-striped, capacity-bounded, and evicts
+//! An [`Engine`] is a *view* over an `Arc<SummaryStore>`; engines built
+//! with [`Engine::with_store`] share one store, so a cone analyzed through
+//! any of them is a warm hit for all of them.  The engine is also the one
+//! in-process [`Service`]: the `sild` daemon hosts a single `Arc<Engine>`.
+//! Each namespace is lock-striped, capacity-bounded, and evicts
 //! per a pluggable [`EvictionPolicy`] — including the default
 //! [`EvictionPolicy::Adaptive`], which switches LRU↔LFU from its own live
 //! [`CacheStats`] counters.
@@ -58,9 +59,11 @@ pub mod store;
 
 pub use peer::{PeerConfig, PeerRing, PeerStats};
 pub use report::{ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport};
+#[doc(hidden)]
+pub use service::ShardedService;
 pub use service::{
-    Addr, LocalService, RemoteService, Request, Response, Server, ServerHandle, ServerStats,
-    Service, ServiceError, ShardedService, PROTOCOL_VERSION,
+    Addr, RemoteService, Request, Response, Server, ServerHandle, ServerStats, Service,
+    ServiceError, PROTOCOL_VERSION,
 };
 pub use store::{
     AdaptConfig, CacheStats, DiskStats, DurableConfig, DurableTier, EvictionPolicy, Namespace,
@@ -78,8 +81,7 @@ use sil_lang::{frontend, pretty_program, Program, SilError};
 use sil_parallelizer::{pack_program_with_analysis, verify_parallel_program, PackOptions};
 use sil_runtime::{Interpreter, RunConfig};
 use silobs::{Counter, RawMetrics, Registry, ShardedHistogram, Tracer};
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Engine construction parameters.  The cache-shaped fields describe the
@@ -106,12 +108,6 @@ pub struct EngineConfig {
     pub store_stripes: usize,
     /// Schedule batches and independent call-graph SCCs across rayon.
     pub parallel: bool,
-    /// Record body walks and re-analyze edited programs incrementally: on a
-    /// program-cache miss, every procedure whose cone fingerprint matches a
-    /// retained one replays its recorded walks, and only the stale cone of
-    /// the edit is re-walked.  The result is bit-identical to a full
-    /// analysis (same digests); this only trades memory for time.
-    pub incremental: bool,
     /// Durable disk tier under the in-memory store (`None` = memory-only).
     pub durable: Option<DurableConfig>,
 }
@@ -126,14 +122,13 @@ impl Default for EngineConfig {
             adapt: AdaptConfig::default(),
             store_stripes: store::DEFAULT_STRIPES,
             parallel: true,
-            incremental: true,
             durable: None,
         }
     }
 }
 
 /// Builder-style setters: `EngineConfig::default().with_eviction(Lfu)
-/// .with_incremental(false)` reads better at construction sites than
+/// .with_parallel(false)` reads better at construction sites than
 /// struct-update syntax and keeps working if fields grow defaults.
 impl EngineConfig {
     pub fn with_program_cache_capacity(mut self, capacity: usize) -> Self {
@@ -173,11 +168,6 @@ impl EngineConfig {
 
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 
@@ -221,8 +211,7 @@ pub struct AnalyzedProgram {
     /// The whole-program path-matrix analysis.
     pub analysis: Arc<AnalysisResult>,
     /// Incremental-reuse counters of the analysis that produced this entry
-    /// (`None` when the engine runs with `incremental: false`, or when the
-    /// entry was served from the program cache).
+    /// (`None` for an entry recovered from disk or fetched from a peer).
     pub incremental: Option<IncrementalStats>,
 }
 
@@ -252,13 +241,11 @@ impl From<SilError> for EngineError {
     }
 }
 
-/// One engine's *view counters* over the shared store: the lookups this
-/// engine made, per namespace.  The store's own [`StoreStats`] are the
-/// authoritative cache counters (including evictions and residency); the
-/// per-engine view is what makes shard-level accounting meaningful when
-/// several engines share one store — and it is how a cross-shard warm hit
-/// shows up: shard B's view records a hit on an entry only shard A ever
-/// inserted.
+/// One engine's *view counters* over its store: the lookups this engine
+/// made, per namespace.  The store's own [`StoreStats`] are the
+/// authoritative cache counters (including evictions and residency); when
+/// several engines share one store, the view shows which engine's lookups
+/// hit — a view can record a hit on an entry another engine inserted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whole-program lookups through this engine.
@@ -269,16 +256,6 @@ pub struct EngineStats {
     /// procedure's retained walks were available for incremental replay
     /// ("reused"), a miss means its cone was stale.
     pub walks: CacheStats,
-}
-
-impl EngineStats {
-    /// Field-wise accumulate (aggregating shards of a
-    /// [`service::ShardedService`]).
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.programs.absorb(&other.programs);
-        self.summaries.absorb(&other.summaries);
-        self.walks.absorb(&other.walks);
-    }
 }
 
 /// Hit/miss/insertion counters of one namespace view, registered on the
@@ -345,9 +322,8 @@ impl StoreView {
 /// Fold a [`StoreStats`] snapshot into `raw` as `store.*` counters and
 /// gauges, making the store's authoritative numbers (including evictions
 /// and ghost hits, which no engine view can see) part of one `Metrics`
-/// response.  Callers sharing a store across shards must fold it exactly
-/// once.
-pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
+/// response.
+fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
     for (name, namespace) in [
         ("programs", &stats.programs),
         ("summaries", &stats.summaries),
@@ -396,23 +372,6 @@ pub fn export_store_metrics(stats: &StoreStats, raw: &mut RawMetrics) {
     }
 }
 
-/// Fold the process-wide path-matrix representation gauges into `raw`:
-/// `analysis.interned_symbols` (distinct handle names in the global
-/// interner) and `analysis.matrix_bytes` (high-water footprint of the
-/// largest single path matrix observed at a join).  Like
-/// [`export_store_metrics`], fold exactly once per `Metrics` response —
-/// the interner is process-global, so per-shard folding would double-count.
-pub fn export_analysis_metrics(raw: &mut RawMetrics) {
-    raw.push_gauge(
-        "analysis.interned_symbols",
-        sil_pathmatrix::symbol_count() as i64,
-    );
-    raw.push_gauge(
-        "analysis.matrix_bytes",
-        sil_pathmatrix::matrix_bytes_high_water() as i64,
-    );
-}
-
 /// How many walk records one cone may retain.  A record exists per (round ×
 /// distinct entry context) of a procedure, so a handful of edits produce a
 /// handful of records; the cap only guards against a pathological client
@@ -424,8 +383,7 @@ const RECORDS_PER_CONE: usize = 64;
 ///
 /// An engine is a view over an [`Arc<SummaryStore>`]: [`Engine::new`]
 /// builds a private store from its config, [`Engine::with_store`] attaches
-/// to a shared one (the [`service::ShardedService`] constructor does this
-/// for every shard, which is what makes summaries cross shard boundaries).
+/// to a shared one.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -433,6 +391,10 @@ pub struct Engine {
     view: StoreView,
     registry: Registry,
     tracer: Arc<Tracer>,
+    /// Answer `peer_inventory`/`peer_fetch` requests (`sild
+    /// --no-peer-serve` turns this off; the refusal is indistinguishable
+    /// from a pre-peering daemon, by design).
+    peer_serve: bool,
     fixpoint_us: Arc<ShardedHistogram>,
     summaries_us: Arc<ShardedHistogram>,
     walks_performed: Counter,
@@ -454,7 +416,7 @@ impl Engine {
 
     /// An engine over an existing (typically shared) store.  The config's
     /// cache-shaped fields are ignored — the store was already built —
-    /// only `parallel` and `incremental` govern this view.
+    /// only `parallel` governs this view.
     pub fn with_store(config: EngineConfig, store: Arc<SummaryStore>) -> Engine {
         let registry = Registry::new();
         // Adopt the store's durable-tier tracer when there is one, so the
@@ -470,17 +432,16 @@ impl Engine {
             walks_performed: registry.counter("engine.walks.performed"),
             walks_reused: registry.counter("engine.walks.reused"),
             tracer,
+            peer_serve: true,
             config,
             store,
             registry,
         }
     }
 
-    /// Share a span ring with other engines (the sharded service hands
-    /// every shard the same tracer, so one `TraceDump` sees the whole
-    /// request's spans regardless of which shard executed it).
-    pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Engine {
-        self.tracer = tracer;
+    /// Enable or disable answering peer inventory/fetch requests.
+    pub fn with_peer_serve(mut self, peer_serve: bool) -> Engine {
+        self.peer_serve = peer_serve;
         self
     }
 
@@ -489,13 +450,28 @@ impl Engine {
         &self.tracer
     }
 
-    /// This engine's observability registry, in mergeable raw form
-    /// (`engine.*` lookup counters and timing histograms).  The shared
-    /// store's `store.*` entries are folded in separately via
-    /// [`export_store_metrics`] — exactly once per store, however many
-    /// engines share it.
+    /// The raw (full-bucket) metrics read behind both the `Metrics`
+    /// response and the daemon's flight recorder: this engine's registry
+    /// (`engine.*` lookup counters and timing histograms), the store's
+    /// `store.*` counters, the process-wide `analysis.*` gauges (interned
+    /// handle names, largest path matrix at a join), the peer ring's fetch
+    /// latency, and the tracer's own counters.
     pub fn metrics_raw(&self) -> RawMetrics {
-        self.registry.collect()
+        let mut raw = self.registry.collect();
+        export_store_metrics(&self.store.stats(), &mut raw);
+        raw.push_gauge(
+            "analysis.interned_symbols",
+            sil_pathmatrix::symbol_count() as i64,
+        );
+        raw.push_gauge(
+            "analysis.matrix_bytes",
+            sil_pathmatrix::matrix_bytes_high_water() as i64,
+        );
+        if let Some(ring) = self.store.peers() {
+            raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
+        }
+        self.tracer.export_metrics(&mut raw);
+        raw
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -534,12 +510,12 @@ impl Engine {
 
     /// Analyze an already-normalized, type-checked program.
     ///
-    /// On a program-cache miss the analysis is (with
-    /// [`EngineConfig::incremental`]) seeded from the walk records of every
-    /// cone this program shares with previously analyzed ones — whether
-    /// those were produced through this engine or any other view of the
-    /// same store — so an edited variant of a cached program only
-    /// re-analyzes the edit's stale cone.
+    /// On a program-cache miss the analysis is seeded from the walk records
+    /// of every cone this program shares with previously analyzed ones —
+    /// whether those were produced through this engine or any other view
+    /// of the same store — so an edited variant of a cached program only
+    /// re-analyzes the edit's stale cone.  The result is bit-identical to
+    /// a full analysis (same digests); reuse only trades memory for time.
     pub fn analyze_normalized(
         &self,
         program: Program,
@@ -558,105 +534,86 @@ impl Engine {
         let graph = CallGraph::of_program(&program);
         let summaries = self.summaries_for(&program, &types, &graph);
 
-        let (analysis, incremental) = if self.config.incremental {
-            let cones = graph.cone_fingerprints(&program);
-            let mut distinct: Vec<u64> = cones.values().copied().collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let mut reuse = AnalysisSnapshot::new();
-            let mut retained: std::collections::HashSet<u64> = std::collections::HashSet::new();
-            for &cone in &distinct {
-                match self.store.walks().get(cone) {
-                    Some(records) => {
-                        self.view.walks.hit();
-                        retained.insert(cone);
-                        for record in records.iter() {
-                            reuse.insert(record.clone());
-                        }
+        let cones = graph.cone_fingerprints(&program);
+        let mut distinct: Vec<u64> = cones.values().copied().collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut reuse = AnalysisSnapshot::new();
+        let mut retained: HashSet<u64> = HashSet::new();
+        for &cone in &distinct {
+            match self.store.walks().get(cone) {
+                Some(records) => {
+                    self.view.walks.hit();
+                    retained.insert(cone);
+                    for record in records.iter() {
+                        reuse.insert(record.clone());
                     }
-                    None => self.view.walks.miss(),
                 }
+                None => self.view.walks.miss(),
             }
-            let options = AnalyzeOptions {
-                parallel: self.config.parallel,
-                record: true,
-                reuse: Some(&reuse),
-            };
-            let fixpoint_start = silobs::ticks();
-            let (analysis, snapshot, mut stats) = {
-                let _span = self.tracer.start("fixpoint");
-                analyze_program_with_options(&program, &types, summaries, &options)
-            };
-            self.fixpoint_us
-                .record(silobs::ticks().saturating_sub(fixpoint_start));
-            self.walks_performed.add(stats.walks_performed as u64);
-            self.walks_reused.add(stats.walks_reused as u64);
-            for (name, cone) in &cones {
-                // Only classify procedures the fixpoint actually walked:
-                // dead code (unreachable from `main`) never records walks,
-                // so its cone would otherwise count as "stale" forever.
-                if analysis.procedure(name).is_none() {
-                    continue;
-                }
-                if retained.contains(cone) {
-                    stats.procedures_reused += 1;
-                } else {
-                    stats.procedures_stale += 1;
-                }
-            }
-            // Persist this run's walks for the next edit, grouped by cone.
-            let snapshot = snapshot.expect("recording was requested");
-            let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
-            for record in snapshot.records() {
-                by_cone.entry(record.cone).or_default().push(record.clone());
-            }
-            for (cone, fresh) in by_cone {
-                self.view.walks.insertion();
-                // Merge under the stripe lock: fresh records win, surviving
-                // older records (other entry contexts of the same cone) ride
-                // along up to the per-cone cap.  Concurrent analyses sharing
-                // a cone cannot drop each other's freshly recorded walks.
-                self.store.walks().merge(cone, |existing| {
-                    let mut merged = fresh;
-                    let mut seen: std::collections::HashSet<u64> =
-                        merged.iter().map(|r| r.key).collect();
-                    if let Some(existing) = existing {
-                        for record in existing.iter() {
-                            if merged.len() >= RECORDS_PER_CONE {
-                                break;
-                            }
-                            if seen.insert(record.key) {
-                                merged.push(record.clone());
-                            }
-                        }
-                    }
-                    merged.truncate(RECORDS_PER_CONE);
-                    Arc::new(merged)
-                });
-            }
-            (analysis, Some(stats))
-        } else {
-            let options = AnalyzeOptions {
-                parallel: self.config.parallel,
-                ..AnalyzeOptions::default()
-            };
-            let fixpoint_start = silobs::ticks();
-            let (analysis, _, stats) = {
-                let _span = self.tracer.start("fixpoint");
-                analyze_program_with_options(&program, &types, summaries, &options)
-            };
-            self.fixpoint_us
-                .record(silobs::ticks().saturating_sub(fixpoint_start));
-            self.walks_performed.add(stats.walks_performed as u64);
-            (analysis, None)
+        }
+        let options = AnalyzeOptions {
+            parallel: self.config.parallel,
+            record: true,
+            reuse: Some(&reuse),
         };
-
+        let fixpoint_start = silobs::ticks();
+        let (analysis, snapshot, mut stats) = {
+            let _span = self.tracer.start("fixpoint");
+            analyze_program_with_options(&program, &types, summaries, &options)
+        };
+        self.fixpoint_us
+            .record(silobs::ticks().saturating_sub(fixpoint_start));
+        self.walks_performed.add(stats.walks_performed as u64);
+        self.walks_reused.add(stats.walks_reused as u64);
+        for (name, cone) in &cones {
+            // Only classify procedures the fixpoint actually walked:
+            // dead code (unreachable from `main`) never records walks,
+            // so its cone would otherwise count as "stale" forever.
+            if analysis.procedure(name).is_none() {
+                continue;
+            }
+            if retained.contains(cone) {
+                stats.procedures_reused += 1;
+            } else {
+                stats.procedures_stale += 1;
+            }
+        }
+        // Persist this run's walks for the next edit, grouped by cone.
+        let snapshot = snapshot.expect("recording was requested");
+        let mut by_cone: HashMap<u64, Vec<Arc<WalkRecord>>> = HashMap::new();
+        for record in snapshot.records() {
+            by_cone.entry(record.cone).or_default().push(record.clone());
+        }
+        for (cone, fresh) in by_cone {
+            self.view.walks.insertion();
+            // Merge under the stripe lock: fresh records win, surviving
+            // older records (other entry contexts of the same cone) ride
+            // along up to the per-cone cap.  Concurrent analyses sharing
+            // a cone cannot drop each other's freshly recorded walks.
+            self.store.walks().merge(cone, |existing| {
+                let mut merged = fresh;
+                let mut seen: HashSet<u64> = merged.iter().map(|r| r.key).collect();
+                if let Some(existing) = existing {
+                    for record in existing.iter() {
+                        if merged.len() >= RECORDS_PER_CONE {
+                            break;
+                        }
+                        if seen.insert(record.key) {
+                            merged.push(record.clone());
+                        }
+                    }
+                }
+                merged.truncate(RECORDS_PER_CONE);
+                Arc::new(merged)
+            });
+        }
         let entry = Arc::new(AnalyzedProgram {
             fingerprint,
             program,
             types,
             analysis: Arc::new(analysis),
-            incremental,
+            incremental: Some(stats),
         });
         self.view.programs.insertion();
         self.store.store_program(fingerprint, entry.clone());
@@ -886,70 +843,6 @@ impl Engine {
     pub fn clear_program_cache(&self) {
         self.store.programs().clear();
     }
-
-    /// Open a session: a lightweight client handle that tracks its own
-    /// request count and cache-hit delta on top of the shared engine.
-    pub fn session(&self) -> Session<'_> {
-        Session {
-            engine: self,
-            requests: Cell::new(0),
-            baseline: self.stats(),
-        }
-    }
-}
-
-/// Per-client view of a shared [`Engine`].
-///
-/// Sessions are cheap (two counters and a stats snapshot) and borrow the
-/// engine, so a server can hand one to every connection while all sessions
-/// share the same caches.
-pub struct Session<'e> {
-    engine: &'e Engine,
-    requests: Cell<u64>,
-    baseline: EngineStats,
-}
-
-/// What one session observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionReport {
-    /// Requests submitted through this session.
-    pub requests: u64,
-    /// Program-cache hits across the engine since the session opened.
-    pub program_hits: u64,
-    /// Program-cache misses across the engine since the session opened.
-    pub program_misses: u64,
-    /// Summary-cache hits across the engine since the session opened.
-    pub summary_hits: u64,
-}
-
-impl Session<'_> {
-    pub fn engine(&self) -> &Engine {
-        self.engine
-    }
-
-    pub fn analyze(&self, src: &str) -> Result<Arc<AnalyzedProgram>, EngineError> {
-        self.requests.set(self.requests.get() + 1);
-        self.engine.analyze_source(src)
-    }
-
-    pub fn process(
-        &self,
-        src: &str,
-        options: &ProcessOptions,
-    ) -> Result<ProgramReport, EngineError> {
-        self.requests.set(self.requests.get() + 1);
-        self.engine.process(src, options)
-    }
-
-    pub fn report(&self) -> SessionReport {
-        let now = self.engine.stats();
-        SessionReport {
-            requests: self.requests.get(),
-            program_hits: now.programs.hits - self.baseline.programs.hits,
-            program_misses: now.programs.misses - self.baseline.programs.misses,
-            summary_hits: now.summaries.hits - self.baseline.summaries.hits,
-        }
-    }
 }
 
 fn run_program(
@@ -1058,19 +951,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::Frontend(_)));
         assert!(err.to_string().contains("frontend"));
-    }
-
-    #[test]
-    fn sessions_track_their_requests() {
-        let engine = Engine::default();
-        let src = Workload::Leftmost.source(3);
-        let session = engine.session();
-        session.analyze(&src).unwrap();
-        session.analyze(&src).unwrap();
-        let report = session.report();
-        assert_eq!(report.requests, 2);
-        assert_eq!(report.program_hits, 1);
-        assert_eq!(report.program_misses, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! remote `silp` that then renders byte-identical output to an in-process
 //! run.
 
-use crate::service::json::{escape, hex64, parse_hex64, Json};
+use crate::service::json::{hex64, parse_hex64, Json};
 use std::fmt::Write as _;
 
 /// What the pipeline should do beyond the (always-run) analysis.
@@ -185,14 +185,6 @@ pub struct ProgramReport {
     pub sequential_execution: Option<ExecutionReport>,
     /// Parallelized execution metrics (when requested and parallelized).
     pub parallel_execution: Option<ExecutionReport>,
-}
-
-/// Escape a string for embedding in a JSON string literal.
-///
-/// Thin wrapper kept for compatibility; new code should build
-/// [`Json`] values instead of splicing strings.
-pub fn json_escape(s: &str) -> String {
-    escape(s)
 }
 
 pub(crate) fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -394,12 +386,6 @@ mod tests {
             }),
             parallel_execution: None,
         }
-    }
-
-    #[test]
-    fn json_escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

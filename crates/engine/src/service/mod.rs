@@ -4,12 +4,8 @@
 //! [`Request`] → [`Response`] exchange (see [`proto`]); the [`Service`]
 //! trait abstracts *where* that exchange happens:
 //!
-//! * [`LocalService`] — in process, wrapping an [`Engine`];
-//! * [`ShardedService`] — in process, routing across N engines by stable
-//!   program fingerprint; the engines are views over **one shared
-//!   [`SummaryStore`]**, so a given program's traffic concentrates on one
-//!   shard while its cached summaries are visible to every shard (the
-//!   `sild` daemon hosts one of these);
+//! * [`Engine`] — in process: the engine answers every request kind
+//!   itself (the `sild` daemon hosts one `Arc<Engine>` behind its socket);
 //! * [`remote::RemoteService`] — over a Unix or TCP socket speaking
 //!   newline-delimited JSON to a `sild` daemon.
 //!
@@ -36,10 +32,7 @@ pub use server::{Server, ServerHandle, ServerKind, ServerOptions};
 
 use crate::report::{ProcessOptions, ProgramReport};
 use crate::store::{StoreStats, SummaryStore};
-use crate::{
-    export_analysis_metrics, export_store_metrics, AnalyzedProgram, Engine, EngineConfig,
-    EngineStats,
-};
+use crate::{AnalyzedProgram, Engine, EngineConfig, EngineStats};
 use sil_lang::{frontend, program_fingerprint};
 use silobs::{HistorySample, MetricsSnapshot, RawMetrics, TraceContext, Tracer};
 use std::path::PathBuf;
@@ -79,9 +72,10 @@ pub trait Service {
         }
     }
 
-    /// [`Request::Stats`], expecting per-shard view counters, their
-    /// aggregate, the shared store's own per-namespace counters, and —
-    /// when the service is a daemon — the server's connection counters.
+    /// [`Request::Stats`], expecting the engine's view counters (a
+    /// one-element list on the wire), their aggregate, the store's own
+    /// per-namespace counters, and — when the service is a daemon — the
+    /// server's connection counters.
     #[allow(clippy::type_complexity)]
     fn service_stats(
         &self,
@@ -169,27 +163,9 @@ fn peer_entry_body(store: &SummaryStore, namespace: PeerNamespace, key: u64) -> 
     Json::parse(std::str::from_utf8(&body).ok()?).ok()
 }
 
-/// The stable routing key for one source text: the content fingerprint of
-/// its normalized program.  Sources that fail the frontend hash their raw
-/// bytes instead (FNV-1a) — still deterministic, so the same broken input
-/// always reaches the same shard and its error is reproducible.
-pub fn route_fingerprint(source: &str) -> u64 {
-    match frontend(source) {
-        Ok((program, _)) => program_fingerprint(&program),
-        Err(_) => {
-            let mut hash = 0xcbf2_9ce4_8422_2325u64;
-            for byte in source.bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash
-        }
-    }
-}
-
 impl Engine {
-    /// The unified entry point every other entry point now routes through:
-    /// answer one protocol request in process.
+    /// The one entry point every request kind goes through: answer one
+    /// protocol request in process.
     ///
     /// The named methods ([`Engine::analyze_source`], [`Engine::process`],
     /// [`Engine::process_batch`], …) remain as thin typed wrappers for
@@ -237,17 +213,8 @@ impl Engine {
                     .map(|r| r.map_err(|e| (&e).into()))
                     .collect(),
             ),
-            Request::Stats { .. } => Response::stats(vec![self.stats()], self.store_stats()),
-            Request::Metrics { .. } => {
-                let mut raw = self.metrics_raw();
-                export_store_metrics(&self.store_stats(), &mut raw);
-                export_analysis_metrics(&mut raw);
-                if let Some(ring) = self.store().peers() {
-                    raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
-                }
-                self.tracer().export_metrics(&mut raw);
-                Response::metrics(raw.summarize())
-            }
+            Request::Stats { .. } => Response::stats(self.stats(), self.store_stats()),
+            Request::Metrics { .. } => Response::metrics(self.metrics_raw().summarize()),
             Request::TraceDump { .. } => Response::trace(
                 self.tracer()
                     .snapshot()
@@ -259,21 +226,31 @@ impl Engine {
                 self.clear_caches();
                 Response::cleared()
             }
+            // Peer requests answer from the store's own tiers — no
+            // recomputation, and no consulting *this* daemon's ring, so a
+            // fetch from a peer can never fan back out into the cluster.
+            Request::PeerInventory { .. } | Request::PeerFetch { .. } if !self.peer_serve => {
+                Response::error(ServiceError::malformed("peer serving is disabled"))
+            }
             Request::PeerInventory { .. } => {
+                let _span = self.tracer().start("peer-serve");
                 let (generation, programs, summaries) = self.store().peer_inventory();
                 Response::peer_inventory(generation, programs, summaries)
             }
-            Request::PeerFetch { namespace, key, .. } => Response::peer_entry(
-                namespace,
-                key,
-                self.store().generation(),
-                peer_entry_body(self.store(), namespace, key),
-            ),
+            Request::PeerFetch { namespace, key, .. } => {
+                let _span = self.tracer().start("peer-serve");
+                Response::peer_entry(
+                    namespace,
+                    key,
+                    self.store().generation(),
+                    peer_entry_body(self.store(), namespace, key),
+                )
+            }
             // In process there is nothing to shut down; the daemon's server
-            // loop intercepts this variant before it reaches an engine.
+            // loop intercepts this variant before it reaches the engine.
             Request::Shutdown { .. } => Response::shutting_down(),
             // Only a daemon hosts a flight recorder; the server loop
-            // intercepts this variant before it reaches an engine.
+            // intercepts this variant before it reaches the engine.
             Request::MetricsHistory { .. } => Response::error(ServiceError::malformed(
                 "metrics_history needs a daemon's flight recorder; connect to a sild instead",
             )),
@@ -310,305 +287,39 @@ impl Service for Engine {
     fn service_tracer(&self) -> Option<Arc<Tracer>> {
         Some(self.tracer().clone())
     }
-}
-
-/// The in-process [`Service`]: one engine, zero transport.
-#[derive(Debug, Default)]
-pub struct LocalService {
-    engine: Arc<Engine>,
-}
-
-impl LocalService {
-    pub fn new(config: EngineConfig) -> LocalService {
-        LocalService {
-            engine: Arc::new(Engine::new(config)),
-        }
-    }
-
-    /// Share an existing engine (its caches stay visible to other holders).
-    pub fn over(engine: Arc<Engine>) -> LocalService {
-        LocalService { engine }
-    }
-
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl Service for LocalService {
-    fn call(&self, request: Request) -> Response {
-        self.engine.serve(request)
-    }
-
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        Some(self.engine.tracer().clone())
-    }
-}
-
-/// N engines over **one shared [`SummaryStore`]** behind one [`Service`],
-/// with requests routed by stable program fingerprint:
-/// `shard = fingerprint % N`.
-///
-/// The routing rule concentrates each program's *traffic* on one engine
-/// (so per-shard view counters are meaningful and batches parallelize one
-/// thread per shard), while the shared store makes every shard's cache
-/// *contents* visible to all the others: a cone analyzed on shard A is a
-/// warm summary/walk hit for a different program homed to shard B.  The
-/// store is internally lock-striped, so the shards do not serialize on a
-/// global lock (the NDN caching literature frames this as cache placement:
-/// one shared tier at full capacity beats private partitions of the same
-/// total capacity, because shared content is stored once).
-#[derive(Debug)]
-pub struct ShardedService {
-    store: Arc<SummaryStore>,
-    shards: Vec<Arc<Engine>>,
-    /// One tracer shared by every shard, so a dump interleaves spans from
-    /// all of them in one tick-ordered stream.
-    tracer: Arc<Tracer>,
-    /// Answer `peer_inventory`/`peer_fetch` requests (`sild
-    /// --no-peer-serve` turns this off; the refusal is indistinguishable
-    /// from a pre-peering daemon, by design).
-    peer_serve: bool,
-}
-
-impl ShardedService {
-    /// `shard_count` engine views over one store built from `config`
-    /// (`shard_count` is clamped to at least 1).
-    pub fn new(shard_count: usize, config: EngineConfig) -> ShardedService {
-        let store = SummaryStore::shared(config.store_config());
-        ShardedService::over(shard_count, config, store)
-    }
-
-    /// `shard_count` engine views over an existing store.
-    pub fn over(
-        shard_count: usize,
-        config: EngineConfig,
-        store: Arc<SummaryStore>,
-    ) -> ShardedService {
-        // One span ring for every shard; a durable store contributes its
-        // own tracer so `disk-recovery`/`disk-flush` spans are visible in
-        // the same `TraceDump` as the request spans.
-        let tracer = store
-            .durable()
-            .map(|tier| tier.tracer().clone())
-            .unwrap_or_else(|| Arc::new(Tracer::default()));
-        let shards = (0..shard_count.max(1))
-            .map(|_| {
-                Arc::new(
-                    Engine::with_store(config.clone(), store.clone()).with_tracer(tracer.clone()),
-                )
-            })
-            .collect();
-        ShardedService {
-            store,
-            shards,
-            tracer,
-            peer_serve: true,
-        }
-    }
-
-    /// Enable or disable answering peer inventory/fetch requests.
-    pub fn with_peer_serve(mut self, peer_serve: bool) -> ShardedService {
-        self.peer_serve = peer_serve;
-        self
-    }
-
-    /// The tracer every shard records into.
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// The store every shard shares.
-    pub fn store(&self) -> &Arc<SummaryStore> {
-        &self.store
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a fingerprint routes to.
-    pub fn shard_for(&self, fingerprint: u64) -> usize {
-        (fingerprint % self.shards.len() as u64) as usize
-    }
-
-    /// Which shard a source text routes to.
-    pub fn shard_for_source(&self, source: &str) -> usize {
-        self.shard_for(route_fingerprint(source))
-    }
-
-    /// The engine behind one shard (tests and benches peek at per-shard
-    /// caches through this).
-    pub fn shard(&self, index: usize) -> &Engine {
-        &self.shards[index]
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn shard_stats(&self) -> Vec<EngineStats> {
-        self.shards.iter().map(|engine| engine.stats()).collect()
-    }
-
-    fn batch(&self, sources: Vec<String>, options: &ProcessOptions) -> Response {
-        if self.shards.len() == 1 {
-            return self.shards[0].serve(Request::batch(sources, options.clone()));
-        }
-        // Partition by routing rule, keeping each source's original index
-        // so the merged results come back in input order.
-        let mut partitions: Vec<Vec<(usize, String)>> = vec![Vec::new(); self.shards.len()];
-        {
-            let _span = self.tracer.start("shard-dispatch");
-            for (index, source) in sources.into_iter().enumerate() {
-                let shard = self.shard_for_source(&source);
-                partitions[shard].push((index, source));
-            }
-        }
-        let mut merged: Vec<Option<Result<ProgramReport, ServiceError>>> = Vec::new();
-        merged.resize_with(partitions.iter().map(Vec::len).sum(), || None);
-        // Scoped worker threads have no thread-local context of their own;
-        // forward the dispatching thread's so per-shard spans stay in the
-        // request's trace tree.
-        let ctx = silobs::current_context();
-        std::thread::scope(|scope| {
-            let mut pending = Vec::new();
-            for (shard, partition) in self.shards.iter().zip(&partitions) {
-                if partition.is_empty() {
-                    continue;
-                }
-                pending.push(scope.spawn(move || {
-                    silobs::with_context_opt(ctx, || {
-                        let sub: Vec<&str> = partition.iter().map(|(_, s)| s.as_str()).collect();
-                        shard
-                            .process_batch(&sub, options)
-                            .into_iter()
-                            .zip(partition.iter().map(|(index, _)| *index))
-                            .map(|(result, index)| (index, result.map_err(|e| (&e).into())))
-                            .collect::<Vec<_>>()
-                    })
-                }));
-            }
-            for handle in pending {
-                for (index, result) in handle.join().expect("shard batch thread panicked") {
-                    merged[index] = Some(result);
-                }
-            }
-        });
-        Response::batch(
-            merged
-                .into_iter()
-                .map(|slot| slot.expect("index gap"))
-                .collect(),
-        )
-    }
-}
-
-impl Service for ShardedService {
-    fn call(&self, request: Request) -> Response {
-        if request.version() != PROTOCOL_VERSION {
-            return Response::error(ServiceError::version_mismatch(request.version()));
-        }
-        match silobs::current_request() {
-            Some(_) => self.dispatch(request),
-            None => {
-                let header = request.trace_header();
-                let ctx = TraceContext {
-                    request: self.tracer.mint(),
-                    trace: header.map_or(0, |h| h.id),
-                    parent: header.map_or(0, |h| h.parent),
-                };
-                silobs::with_context(ctx, || self.dispatch(request))
-            }
-        }
-    }
-
-    fn service_tracer(&self) -> Option<Arc<Tracer>> {
-        Some(self.tracer.clone())
-    }
 
     fn raw_metrics(&self) -> Option<RawMetrics> {
         Some(self.metrics_raw())
     }
 }
 
+/// Compatibility shim for the benchmark's traced replay
+/// (`perfbench/src/traced.rs`, its only caller): the retired sharded
+/// service's surface over one [`Engine`], whose one shard is the engine.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ShardedService(Engine);
+#[doc(hidden)]
 impl ShardedService {
-    fn dispatch(&self, request: Request) -> Response {
-        match request {
-            Request::Analyze { ref source, .. } | Request::Process { ref source, .. } => {
-                // With one shard there is nothing to route; skip the
-                // routing parse entirely.  With several, routing costs one
-                // extra frontend pass per request (the shard's engine
-                // re-parses) — small next to an analysis, and a warm hit
-                // still skips the analysis itself.
-                let shard = if self.shards.len() == 1 {
-                    0
-                } else {
-                    let _span = self.tracer.start("shard-dispatch");
-                    self.shard_for_source(source)
-                };
-                self.shards[shard].serve(request)
-            }
-            Request::Batch {
-                sources, options, ..
-            } => self.batch(sources, &options),
-            Request::Stats { .. } => Response::stats(self.shard_stats(), self.store.stats()),
-            Request::Metrics { .. } => Response::metrics(self.metrics_raw().summarize()),
-            Request::TraceDump { .. } => {
-                Response::trace(self.tracer.snapshot().iter().map(TraceSpan::from).collect())
-            }
-            // One clear empties the store every shard shares.
-            Request::ClearCaches { .. } => {
-                self.store.clear();
-                Response::cleared()
-            }
-            // Peer requests answer from the shared store directly — no
-            // shard routing, no recomputation, and no consulting *this*
-            // daemon's ring, so a fetch from a peer can never fan back out
-            // into the cluster.
-            Request::PeerInventory { .. } if !self.peer_serve => {
-                Response::error(ServiceError::malformed("peer serving is disabled"))
-            }
-            Request::PeerFetch { .. } if !self.peer_serve => {
-                Response::error(ServiceError::malformed("peer serving is disabled"))
-            }
-            Request::PeerInventory { .. } => {
-                let _span = self.tracer.start("peer-serve");
-                let (generation, programs, summaries) = self.store.peer_inventory();
-                Response::peer_inventory(generation, programs, summaries)
-            }
-            Request::PeerFetch { namespace, key, .. } => {
-                let _span = self.tracer.start("peer-serve");
-                Response::peer_entry(
-                    namespace,
-                    key,
-                    self.store.generation(),
-                    peer_entry_body(&self.store, namespace, key),
-                )
-            }
-            Request::Shutdown { .. } => Response::shutting_down(),
-            // Only a daemon hosts a flight recorder; its server loop
-            // intercepts this variant before it reaches the service.
-            Request::MetricsHistory { .. } => Response::error(ServiceError::malformed(
-                "metrics_history needs a daemon's flight recorder; connect to a sild instead",
-            )),
-        }
+    pub fn new(_shards: usize, config: EngineConfig) -> ShardedService {
+        ShardedService(Engine::new(config))
     }
-
-    /// The raw (full-bucket) registry read behind both the `Metrics`
-    /// response and the daemon's flight recorder.  Shard registries merge
-    /// at the raw level, so the combined histograms are exact; the shared
-    /// store's counters fold in exactly once, not once per shard.
-    pub fn metrics_raw(&self) -> silobs::RawMetrics {
-        let mut raw = silobs::RawMetrics::new();
-        for shard in &self.shards {
-            raw.absorb(&shard.metrics_raw());
-        }
-        export_store_metrics(&self.store.stats(), &mut raw);
-        export_analysis_metrics(&mut raw);
-        if let Some(ring) = self.store.peers() {
-            raw.push_histogram("store.peer.fetch_us", &ring.fetch_us());
-        }
-        self.tracer.export_metrics(&mut raw);
-        raw
+    pub fn shard_for(&self, _fingerprint: u64) -> usize {
+        0
     }
+    pub fn shard(&self, _index: usize) -> &Engine {
+        &self.0
+    }
+}
+impl Service for ShardedService {
+    fn call(&self, request: Request) -> Response {
+        self.0.serve(request)
+    }
+}
+/// Part of the shim above: the program fingerprint of one source text.
+#[doc(hidden)]
+pub fn route_fingerprint(source: &str) -> u64 {
+    frontend(source).map_or(0, |(program, _)| program_fingerprint(&program))
 }
 
 /// A listening or dialing address: `unix:<path>` or `tcp:<host:port>`.
@@ -664,16 +375,13 @@ mod tests {
     use sil_workloads::Workload;
 
     #[test]
-    fn local_service_answers_like_the_engine() {
-        let service = LocalService::new(EngineConfig::default());
+    fn engine_service_answers_like_its_typed_methods() {
+        let engine = Engine::default();
         let src = Workload::TreeSum.source(4);
-        let report = service
+        let report = engine
             .process_source(&src, &ProcessOptions::default())
             .unwrap();
-        let direct = service
-            .engine()
-            .process(&src, &ProcessOptions::default())
-            .unwrap();
+        let direct = engine.process(&src, &ProcessOptions::default()).unwrap();
         assert_eq!(report.analysis_digest, direct.analysis_digest);
         assert_eq!(report.fingerprint, direct.fingerprint);
     }
@@ -691,76 +399,44 @@ mod tests {
     }
 
     #[test]
-    fn routing_is_stable_and_format_insensitive() {
-        let src = Workload::TreeSum.source(4);
-        let reformatted = format!("\n\n{}", src.replace("  ", "    "));
-        assert_eq!(
-            route_fingerprint(&src),
-            route_fingerprint(&reformatted),
-            "routing keys off the normalized program, not the text"
-        );
-        let broken = "program nope {";
-        assert_eq!(route_fingerprint(broken), route_fingerprint(broken));
-    }
-
-    #[test]
-    fn sharded_routing_pins_a_program_to_one_shard() {
-        let service = ShardedService::new(4, EngineConfig::default());
-        let src = Workload::AddAndReverse.source(4);
-        let home = service.shard_for_source(&src);
-        for _ in 0..3 {
-            match service.call(Request::process(&src, ProcessOptions::default())) {
-                Response::Report { .. } => {}
-                other => panic!("{other:?}"),
-            }
-        }
-        let stats = service.shard_stats();
-        for (index, shard) in stats.iter().enumerate() {
-            let touched = shard.programs.hits + shard.programs.misses;
-            if index == home {
-                assert_eq!(touched, 3, "home shard serves every repeat");
-                assert_eq!(shard.programs.hits, 2, "repeats hit the warm cache");
-            } else {
-                assert_eq!(touched, 0, "shard {index} must stay cold");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_batch_keeps_input_order_and_matches_single_engine() {
-        let sources: Vec<String> = Workload::ALL
-            .iter()
-            .map(|w| w.source(w.test_size()))
-            .collect();
-        let sharded = ShardedService::new(3, EngineConfig::default());
-        let single = LocalService::new(EngineConfig::default());
-        let from_shards = sharded
-            .process_sources(sources.clone(), &ProcessOptions::default())
-            .unwrap();
-        let from_single = single
-            .process_sources(sources, &ProcessOptions::default())
-            .unwrap();
-        assert_eq!(from_shards.len(), from_single.len());
-        for (a, b) in from_shards.iter().zip(&from_single) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.name, b.name, "order must match");
-            assert_eq!(a.analysis_digest, b.analysis_digest);
-        }
-    }
-
-    #[test]
-    fn sharded_clear_caches_empties_the_shared_store() {
-        let service = ShardedService::new(2, EngineConfig::default());
+    fn clear_caches_empties_every_namespace() {
+        let engine = Engine::default();
         for workload in [Workload::TreeSum, Workload::ListSum, Workload::Bisort] {
-            let src = workload.source(3);
-            service.call(Request::analyze(src));
+            engine.call(Request::analyze(workload.source(3)));
         }
-        assert_eq!(service.store().stats().programs.entries, 3);
-        assert_eq!(service.call(Request::clear_caches()), Response::cleared());
-        let stats = service.store().stats();
+        assert_eq!(engine.store_stats().programs.entries, 3);
+        assert_eq!(engine.call(Request::clear_caches()), Response::cleared());
+        let stats = engine.store_stats();
         assert_eq!(stats.programs.entries, 0);
         assert_eq!(stats.summaries.entries, 0);
         assert_eq!(stats.walks.entries, 0);
+    }
+
+    /// `--no-peer-serve` refuses both peer kinds, in process as on the
+    /// wire; a serving engine answers them under a `peer-serve` span.
+    #[test]
+    fn peer_kinds_follow_the_peer_serve_option() {
+        let refusing = Engine::default().with_peer_serve(false);
+        for request in [
+            Request::peer_inventory(),
+            Request::peer_fetch(PeerNamespace::Programs, 1),
+        ] {
+            match refusing.call(request) {
+                Response::Error { error, .. } => assert_eq!(error.kind, ErrorKind::Malformed),
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        let serving = Engine::default();
+        assert!(matches!(
+            serving.call(Request::peer_inventory()),
+            Response::PeerInventory { .. }
+        ));
+        assert!(matches!(
+            serving.call(Request::peer_fetch(PeerNamespace::Programs, 1)),
+            Response::PeerEntry { body: None, .. }
+        ));
+        let spans = serving.service_trace().unwrap();
+        assert_eq!(spans.iter().filter(|s| s.span == "peer-serve").count(), 2);
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub enum Request {
         options: ProcessOptions,
         trace: Option<TraceHeader>,
     },
-    /// Cache counters, per shard and aggregated.
+    /// Cache counters: the engine's view and the store's own.
     Stats { version: u32 },
     /// The observability registry: counters, gauges, and latency-histogram
     /// summaries from every layer (additive, still v2).
@@ -119,7 +119,7 @@ pub enum Request {
     /// The retained trace spans from the service's ring buffer (additive,
     /// still v2).
     TraceDump { version: u32 },
-    /// Drop every cached entry on every shard.
+    /// Drop every cached entry in the store.
     ClearCaches { version: u32 },
     /// Ask a daemon to exit after responding.
     Shutdown { version: u32 },
@@ -827,9 +827,9 @@ pub enum Response {
         /// See [`Response::Analyzed::trace_spans`].
         trace_spans: Vec<TraceSpan>,
     },
-    /// Answer to [`Request::Stats`]: one per-shard view-counter entry per
-    /// engine shard, their field-wise aggregate (a single-engine service
-    /// reports one shard), the shared store's own per-namespace and
+    /// Answer to [`Request::Stats`]: the engine's view counters as a
+    /// one-element `shards` list (the v2 wire shape predates the single
+    /// engine), their `total`, the store's own per-namespace and
     /// per-stripe counters, and — when a daemon answers — the server's
     /// connection counters.
     Stats {
@@ -916,15 +916,12 @@ impl Response {
         }
     }
 
-    pub fn stats(shards: Vec<EngineStats>, store: StoreStats) -> Response {
-        let mut total = EngineStats::default();
-        for shard in &shards {
-            total.absorb(shard);
-        }
+    /// One engine's stats: the wire keeps `shards` as a one-element list.
+    pub fn stats(view: EngineStats, store: StoreStats) -> Response {
         Response::Stats {
             version: PROTOCOL_VERSION,
-            shards,
-            total,
+            shards: vec![view],
+            total: view,
             store: Box::new(store),
             server: None,
         }
@@ -2118,24 +2115,21 @@ mod tests {
             analysis_digest: 0xbeef,
         }));
         round_trip_response(Response::stats(
-            vec![
-                EngineStats::default(),
-                EngineStats {
-                    programs: CacheStats {
-                        hits: 4,
-                        misses: 2,
-                        insertions: 2,
-                        evictions: 0,
-                    },
-                    ..EngineStats::default()
+            EngineStats {
+                programs: CacheStats {
+                    hits: 4,
+                    misses: 2,
+                    insertions: 2,
+                    evictions: 0,
                 },
-            ],
+                ..EngineStats::default()
+            },
             sample_store_stats(),
         ));
         // The server-decorated form round-trips too, and the undecorated
         // form stays bitwise free of the optional key.
         round_trip_response(
-            Response::stats(vec![EngineStats::default()], sample_store_stats()).with_server_stats(
+            Response::stats(EngineStats::default(), sample_store_stats()).with_server_stats(
                 ServerStats {
                     kind: "async".into(),
                     accepted: 41,
@@ -2145,7 +2139,7 @@ mod tests {
             ),
         );
         assert!(
-            !Response::stats(vec![], sample_store_stats())
+            !Response::stats(EngineStats::default(), sample_store_stats())
                 .encode()
                 .contains("\"server\""),
             "no daemon, no server member"
@@ -2160,26 +2154,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_total_aggregates_shard_views() {
-        let a = EngineStats {
+    fn stats_carry_one_engine_view_as_the_shard_list_and_total() {
+        let view = EngineStats {
             programs: CacheStats {
-                hits: 2,
-                misses: 1,
-                insertions: 1,
+                hits: 5,
+                misses: 5,
+                insertions: 5,
                 evictions: 0,
             },
             ..EngineStats::default()
         };
-        let b = EngineStats {
-            programs: CacheStats {
-                hits: 3,
-                misses: 4,
-                insertions: 4,
-                evictions: 0,
-            },
-            ..EngineStats::default()
-        };
-        match Response::stats(vec![a, b], sample_store_stats()) {
+        match Response::stats(view, sample_store_stats()) {
             Response::Stats {
                 total,
                 shards,
@@ -2187,9 +2172,8 @@ mod tests {
                 server,
                 ..
             } => {
-                assert_eq!(shards.len(), 2);
-                assert_eq!(total.programs.hits, 5);
-                assert_eq!(total.programs.misses, 5);
+                assert_eq!(shards, vec![view], "a one-element shard list");
+                assert_eq!(total, view);
                 assert_eq!(store.programs.entries, 2);
                 assert_eq!(store.walks.capacity, 512);
                 assert_eq!(server, None, "in-process stats carry no server");
@@ -2203,7 +2187,7 @@ mod tests {
     /// unknown extra keys (a future peer) still decodes.
     #[test]
     fn optional_server_member_is_compatible_in_both_directions() {
-        let bare = Response::stats(vec![EngineStats::default()], sample_store_stats());
+        let bare = Response::stats(EngineStats::default(), sample_store_stats());
         let decoded = Response::decode(&bare.encode()).unwrap();
         match &decoded {
             Response::Stats { server, .. } => assert_eq!(*server, None),
@@ -2239,7 +2223,7 @@ mod tests {
     fn optional_peer_member_is_compatible_in_both_directions() {
         let mut stats = sample_store_stats();
         stats.peer = None;
-        let bare = Response::stats(vec![EngineStats::default()], stats);
+        let bare = Response::stats(EngineStats::default(), stats);
         assert!(
             !bare.encode().contains("\"peer\""),
             "no ring, no peer member"
@@ -2249,7 +2233,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
 
-        let peered = Response::stats(vec![EngineStats::default()], sample_store_stats());
+        let peered = Response::stats(EngineStats::default(), sample_store_stats());
         match Response::decode(&peered.encode()).unwrap() {
             Response::Stats { store, .. } => {
                 let peer = store.peer.expect("peered form carries the member");

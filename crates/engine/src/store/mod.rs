@@ -9,7 +9,7 @@
 //!
 //! * **content-addressed** — every key is a stable 64-bit fingerprint of
 //!   normalized program content (`sil_lang::hash`), so identical content
-//!   hits regardless of which client, connection, or shard produced it;
+//!   hits regardless of which client or connection produced it;
 //! * **typed namespaces** — [`Namespace::Program`] (whole
 //!   `AnalysisResult`s), [`Namespace::SccSummary`] (per-SCC argument-mode
 //!   summaries keyed by cone fingerprint), and [`Namespace::WalkRecord`]
@@ -26,8 +26,8 @@
 //!
 //! Engines are *views* over an `Arc<SummaryStore>`: they read and write
 //! the shared namespaces and keep only their own per-view hit/miss
-//! counters.  A `ShardedService` hands every shard the same store, which
-//! is what makes a cone analyzed on shard A a warm hit on shard B.
+//! counters, so a cone analyzed through one engine is a warm hit through
+//! every other engine over the same store.
 
 pub mod durable;
 pub mod namespace;
@@ -190,9 +190,8 @@ pub type SummaryTable = Arc<HashMap<String, ProcSummary>>;
 pub type WalkSet = Arc<Vec<Arc<WalkRecord>>>;
 
 /// The unified content-addressed store.  One instance is shared (via
-/// `Arc`) by every engine that should see the same summaries — all the
-/// shards of a `ShardedService`, every `Session`, every connection of a
-/// `sild` daemon.
+/// `Arc`) by every engine that should see the same summaries — and by
+/// every connection of a `sild` daemon, through its one engine.
 #[derive(Debug)]
 pub struct SummaryStore {
     config: StoreConfig,

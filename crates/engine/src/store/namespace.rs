@@ -164,9 +164,8 @@ impl<V: Clone> NamespaceCache<V> {
     }
 
     fn stripe(&self, key: u64) -> &Mutex<Stripe<V>> {
-        // Fibonacci multiplicative mix: the shard router already uses the
-        // fingerprint's low bits (`fingerprint % shards`), so stripe
-        // selection keys off well-scrambled high bits instead.
+        // Fibonacci multiplicative mix: stripe selection keys off
+        // well-scrambled high bits of the fingerprint.
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         &self.stripes[(mixed % self.stripes.len() as u64) as usize]
     }

@@ -9,10 +9,9 @@
 //! must match the oracle byte for byte regardless.
 
 use sil_engine::service::{
-    ErrorKind, LocalService, RemoteService, Request, Response, Server, ServerKind, ServerOptions,
-    Service, ShardedService,
+    ErrorKind, RemoteService, Request, Response, Server, ServerKind, ServerOptions, Service,
 };
-use sil_engine::{Addr, EngineConfig, ProcessOptions, ProgramReport, ServerHandle};
+use sil_engine::{Addr, Engine, ProcessOptions, ProgramReport, ServerHandle};
 use sil_workloads::Workload;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
@@ -24,8 +23,8 @@ fn temp_socket(name: &str) -> Addr {
     Addr::Unix(path)
 }
 
-fn spawn_async(addr: &Addr, shards: usize) -> (Arc<ShardedService>, ServerHandle, ServerKind) {
-    let service = Arc::new(ShardedService::new(shards, EngineConfig::default()));
+fn spawn_async(addr: &Addr) -> (Arc<Engine>, ServerHandle, ServerKind) {
+    let service = Arc::new(Engine::default());
     let server = Server::bind_with(
         addr,
         service.clone(),
@@ -60,7 +59,7 @@ fn soak_sources() -> Vec<String> {
 }
 
 fn oracle_reports(sources: &[String]) -> Vec<ProgramReport> {
-    let oracle = LocalService::new(EngineConfig::default());
+    let oracle = Engine::default();
     sources
         .iter()
         .map(|src| {
@@ -107,7 +106,7 @@ fn soak(addr: &str, clients: usize) {
 #[test]
 fn async_soak_unix_64_clients_match_oracle() {
     let addr = temp_socket("soak64");
-    let (_service, handle, kind) = spawn_async(&addr, 4);
+    let (_service, handle, kind) = spawn_async(&addr);
     let clients = 64;
     soak(&handle.addr().to_string(), clients);
 
@@ -134,7 +133,7 @@ fn async_soak_unix_64_clients_match_oracle() {
 /// The same soak over TCP.
 #[test]
 fn async_soak_tcp_64_clients_match_oracle() {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+    let service = Arc::new(Engine::default());
     let server = Server::bind_with(
         &Addr::Tcp("127.0.0.1:0".into()),
         service,
@@ -156,7 +155,7 @@ fn async_soak_tcp_64_clients_match_oracle() {
 #[test]
 fn async_faults_do_not_wedge_the_event_loop() {
     let addr = temp_socket("faults");
-    let (_service, handle, _) = spawn_async(&addr, 2);
+    let (_service, handle, _) = spawn_async(&addr);
     let Addr::Unix(path) = handle.addr().clone() else {
         unreachable!()
     };
@@ -241,7 +240,7 @@ fn async_faults_do_not_wedge_the_event_loop() {
 #[test]
 fn async_shutdown_and_version_negotiation() {
     let addr = temp_socket("shutdown");
-    let (_service, handle, _) = spawn_async(&addr, 1);
+    let (_service, handle, _) = spawn_async(&addr);
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
 
     match remote.call(Request::shutdown().with_version(0)) {
@@ -271,7 +270,7 @@ fn async_shutdown_and_version_negotiation() {
 #[test]
 fn async_and_threaded_answer_identical_bytes() {
     let make = |kind: ServerKind, name: &str| {
-        let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+        let service = Arc::new(Engine::default());
         let server = Server::bind_with(
             &temp_socket(name),
             service,

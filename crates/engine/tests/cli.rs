@@ -61,6 +61,31 @@ fn sild_rejects_unknown_flags_with_a_hint() {
     assert!(stderr.contains("did you mean --listen?"), "{stderr}");
 }
 
+/// The retired shard-count and non-incremental flags are unknown options
+/// now, rejected like any typo rather than silently ignored, and the help
+/// text no longer lists them.
+#[test]
+fn sild_rejects_the_removed_shards_and_no_incremental_flags() {
+    for args in [
+        &["--listen", "unix:/tmp/x.sock", "--shards", "4"][..],
+        &["--listen", "unix:/tmp/x.sock", "--no-incremental"][..],
+    ] {
+        let output = sild().args(args).output().unwrap();
+        assert!(!output.status.success(), "{args:?} must fail");
+        let stderr = stderr_of(&output);
+        let flag = args[2];
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{stderr}"
+        );
+    }
+    let help = sild().arg("--help").output().unwrap();
+    assert!(help.status.success());
+    let usage = String::from_utf8_lossy(&help.stdout);
+    assert!(!usage.contains("--shards"), "{usage}");
+    assert!(!usage.contains("--no-incremental"), "{usage}");
+}
+
 #[test]
 fn shutdown_without_connect_is_an_error() {
     let output = silp().args(["--shutdown"]).output().unwrap();
@@ -76,18 +101,18 @@ struct Daemon {
 
 impl Daemon {
     /// Launch `sild` on a fresh temp unix socket and wait until it accepts.
-    fn launch(name: &str, shards: &str) -> Daemon {
-        Daemon::launch_with(name, shards, &[])
+    fn launch(name: &str) -> Daemon {
+        Daemon::launch_with(name, &[])
     }
 
     /// [`Daemon::launch`] with extra `sild` flags (e.g. `--async`).
-    fn launch_with(name: &str, shards: &str, extra: &[&str]) -> Daemon {
+    fn launch_with(name: &str, extra: &[&str]) -> Daemon {
         let sock =
             std::env::temp_dir().join(format!("sild-cli-{}-{name}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
         let addr = format!("unix:{}", sock.display());
         let child = sild()
-            .args(["--listen", &addr, "--shards", shards, "--quiet"])
+            .args(["--listen", &addr, "--quiet"])
             .args(extra)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -121,7 +146,7 @@ fn connect_output_is_byte_identical_to_in_process() {
     // One fresh (cold) daemon per output mode: in-process runs are always
     // cold, so the comparison needs an equally cold daemon.
     for (name, extra) in [("diff-json", &["--json"][..]), ("diff-text", &[])] {
-        let daemon = Daemon::launch(name, "4");
+        let daemon = Daemon::launch(name);
         let mut remote_args = vec!["--connect", daemon.addr.as_str(), "--workload", "all"];
         remote_args.extend_from_slice(extra);
         let mut local_args = vec!["--in-process", "--workload", "all"];
@@ -145,7 +170,7 @@ fn connect_output_is_byte_identical_to_in_process() {
 /// the hits.
 #[test]
 fn warm_daemon_serves_cache_hits_to_a_second_run() {
-    let daemon = Daemon::launch("warm", "2");
+    let daemon = Daemon::launch("warm");
     let args = [
         "--connect",
         daemon.addr.as_str(),
@@ -168,8 +193,8 @@ fn warm_daemon_serves_cache_hits_to_a_second_run() {
     );
     assert!(stdout.contains("\"cache_hit\":true"));
     // Under --json the stats land on stderr as one wire-format JSON line:
-    // two shard views plus the shared store's namespaces with their live
-    // policy state.
+    // the engine's view plus the store's namespaces with their live policy
+    // state.
     let stderr = stderr_of(&warm);
     assert!(stderr.contains("\"type\":\"stats\""), "{stderr}");
     assert!(stderr.contains("\"store\":{"), "{stderr}");
@@ -180,10 +205,10 @@ fn warm_daemon_serves_cache_hits_to_a_second_run() {
 }
 
 /// The text form of `--stats`: a per-namespace table (entries, hit rates,
-/// evictions, live policy) plus one view line per shard.
+/// evictions, live policy) plus the engine's view line.
 #[test]
-fn stats_table_renders_namespaces_and_shards() {
-    let daemon = Daemon::launch("stats-table", "2");
+fn stats_table_renders_namespaces_and_the_engine_view() {
+    let daemon = Daemon::launch("stats-table");
     let output = silp()
         .args([
             "--connect",
@@ -196,16 +221,13 @@ fn stats_table_renders_namespaces_and_shards() {
         .unwrap();
     assert!(output.status.success(), "{}", stderr_of(&output));
     let stderr = stderr_of(&output);
-    assert!(
-        stderr.contains("2 shards over one shared store"),
-        "{stderr}"
-    );
+    assert!(stderr.contains("one engine over one store"), "{stderr}");
     for namespace in ["programs", "summaries", "walks"] {
         assert!(stderr.contains(namespace), "{stderr}");
     }
     assert!(stderr.contains("adaptive(lru)"), "{stderr}");
-    assert!(stderr.contains("shard 0"), "{stderr}");
-    assert!(stderr.contains("shard 1"), "{stderr}");
+    assert!(stderr.contains("  view       programs"), "{stderr}");
+    assert!(!stderr.contains("shard"), "{stderr}");
     // The daemon's own counters render above the namespace table.
     assert!(stderr.contains("server: threaded"), "{stderr}");
     assert!(stderr.contains("accepted"), "{stderr}");
@@ -219,7 +241,7 @@ fn stats_table_renders_namespaces_and_shards() {
 #[test]
 fn async_daemon_output_is_byte_identical_to_in_process() {
     for (name, extra) in [("adiff-json", &["--json"][..]), ("adiff-text", &[])] {
-        let daemon = Daemon::launch_with(name, "4", &["--async"]);
+        let daemon = Daemon::launch_with(name, &["--async"]);
         let mut remote_args = vec!["--connect", daemon.addr.as_str(), "--workload", "all"];
         remote_args.extend_from_slice(extra);
         let mut local_args = vec!["--in-process", "--workload", "all"];
@@ -238,7 +260,7 @@ fn async_daemon_output_is_byte_identical_to_in_process() {
     }
 
     if cfg!(target_os = "linux") {
-        let daemon = Daemon::launch_with("astats", "2", &["--async"]);
+        let daemon = Daemon::launch_with("astats", &["--async"]);
         let output = silp()
             .args([
                 "--connect",
@@ -262,11 +284,7 @@ fn async_daemon_output_is_byte_identical_to_in_process() {
 /// `sild --adapt-window/--adapt-threshold` are accepted and validated.
 #[test]
 fn sild_adapt_flags_parse_and_validate() {
-    let daemon = Daemon::launch_with(
-        "adapt",
-        "2",
-        &["--adapt-window", "64", "--adapt-threshold", "4"],
-    );
+    let daemon = Daemon::launch_with("adapt", &["--adapt-window", "64", "--adapt-threshold", "4"]);
     let output = silp()
         .args(["--connect", &daemon.addr, "--workload", "tree_sum"])
         .output()
@@ -399,7 +417,7 @@ fn connect_to_nothing_fails_cleanly() {
 /// errors (same stderr line, same JSON error object, same exit status).
 #[test]
 fn remote_errors_render_like_local_errors() {
-    let daemon = Daemon::launch("errors", "2");
+    let daemon = Daemon::launch("errors");
     let dir = std::env::temp_dir();
     let bad = dir.join(format!("silp-bad-{}.sil", std::process::id()));
     std::fs::write(&bad, "program broken (").unwrap();
@@ -447,7 +465,7 @@ fn cold_namespaces_report_a_zero_hit_rate() {
 /// daemon additionally splices in its own `server.*` namespace.
 #[test]
 fn metrics_round_trip_matches_in_process() {
-    let daemon = Daemon::launch("metrics", "1");
+    let daemon = Daemon::launch("metrics");
     let remote = silp()
         .args([
             "--connect",
@@ -458,16 +476,8 @@ fn metrics_round_trip_matches_in_process() {
         ])
         .output()
         .unwrap();
-    // sild shards run incremental engines by default; mirror that in
-    // process so the walk-cache counters are comparable.
     let local = silp()
-        .args([
-            "--in-process",
-            "--incremental",
-            "--workload",
-            "tree_sum",
-            "--metrics",
-        ])
+        .args(["--in-process", "--workload", "tree_sum", "--metrics"])
         .output()
         .unwrap();
     assert!(remote.status.success(), "{}", stderr_of(&remote));
@@ -545,7 +555,7 @@ fn metrics_include_analysis_representation_gauges() {
 /// attributed to minted request ids.
 #[test]
 fn trace_dump_emits_ndjson_spans() {
-    let daemon = Daemon::launch("trace", "2");
+    let daemon = Daemon::launch("trace");
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()
@@ -595,7 +605,7 @@ fn metrics_include_trace_health_counters() {
 /// spans indented beneath it with per-hop durations.
 #[test]
 fn silp_trace_renders_an_indented_tree() {
-    let daemon = Daemon::launch("tree", "2");
+    let daemon = Daemon::launch("tree");
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()
@@ -650,7 +660,7 @@ fn silp_trace_renders_an_indented_tree() {
 /// between at least two flight-recorder samples.
 #[test]
 fn silp_top_renders_live_recorder_deltas() {
-    let daemon = Daemon::launch_with("top", "2", &["--recorder-interval", "50"]);
+    let daemon = Daemon::launch_with("top", &["--recorder-interval", "50"]);
     let warmup = silp()
         .args(["--connect", daemon.addr.as_str(), "--workload", "tree_sum"])
         .output()

@@ -4,10 +4,10 @@
 //! half-open connections, loop prevention).
 
 use sil_engine::service::{
-    json, route_fingerprint, ErrorKind, Json, PeerNamespace, RemoteService, Request, Response,
-    Server, Service, ShardedService,
+    json, ErrorKind, Json, PeerNamespace, RemoteService, Request, Response, Server, Service,
 };
-use sil_engine::{Addr, EngineConfig, PeerConfig, PeerRing, ServerHandle};
+use sil_engine::{Addr, Engine, PeerConfig, PeerRing, ServerHandle};
+use sil_lang::{frontend, program_fingerprint};
 use sil_workloads::Workload;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,15 +20,15 @@ fn temp_socket(name: &str) -> Addr {
 
 /// A daemon on a temp unix socket, returning its service handle too so
 /// tests can inspect its store directly.
-fn spawn_daemon(name: &str) -> (Arc<ShardedService>, ServerHandle) {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+fn spawn_daemon(name: &str) -> (Arc<Engine>, ServerHandle) {
+    let service = Arc::new(Engine::default());
     let server = Server::bind(&temp_socket(name), service.clone()).unwrap();
     (service, server.spawn())
 }
 
 /// A ring with test-friendly timings: fast fetch deadline, no background
 /// loop (tests drive gossip explicitly).
-fn test_ring(service: &ShardedService, peers: Vec<Addr>) -> Arc<PeerRing> {
+fn test_ring(service: &Engine, peers: Vec<Addr>) -> Arc<PeerRing> {
     let config = PeerConfig::new(peers)
         .with_fetch_timeout(Duration::from_millis(500))
         .with_failure_threshold(2)
@@ -38,7 +38,12 @@ fn test_ring(service: &ShardedService, peers: Vec<Addr>) -> Arc<PeerRing> {
     ring
 }
 
-fn analyze(service: &ShardedService, source: &str) -> sil_engine::service::AnalyzeSummary {
+/// The program-namespace key of one source text.
+fn fingerprint(source: &str) -> u64 {
+    program_fingerprint(&frontend(source).unwrap().0)
+}
+
+fn analyze(service: &Engine, source: &str) -> sil_engine::service::AnalyzeSummary {
     match service.call(Request::analyze(source)) {
         Response::Analyzed { summary, .. } => summary,
         other => panic!("expected an analyzed response, got {other:?}"),
@@ -61,7 +66,7 @@ fn cold_daemon_serves_peer_hits_without_recomputing() {
         .map(|src| analyze(&warm_service, src).analysis_digest)
         .collect();
 
-    let cold_service = ShardedService::new(2, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     // The inventory advertises summary fingerprints alongside the 3
@@ -108,9 +113,9 @@ fn single_flight_collapses_a_thundering_herd() {
     let (warm_service, warm_handle) = spawn_daemon("herd");
     let src = Workload::TreeSum.source(4);
     let want = analyze(&warm_service, &src).analysis_digest;
-    let key = route_fingerprint(&src);
+    let key = fingerprint(&src);
 
-    let cold_service = ShardedService::new(1, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
 
@@ -144,7 +149,7 @@ fn single_flight_collapses_a_thundering_herd() {
 #[test]
 fn breaker_trips_on_a_dead_peer_and_recovers() {
     let addr = temp_socket("breaker");
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![addr.clone()]);
 
     // Two gossip rounds against nothing: one failure each, tripping the
@@ -165,7 +170,7 @@ fn breaker_trips_on_a_dead_peer_and_recovers() {
 
     // Revive the peer on the same address, wait out the quarantine, and
     // let the next gossip round double as the probe.
-    let revived = Arc::new(ShardedService::new(1, EngineConfig::default()));
+    let revived = Arc::new(Engine::default());
     let src = Workload::ListSum.source(4);
     analyze(&revived, &src);
     let handle = Server::bind(&addr, revived).unwrap().spawn();
@@ -174,7 +179,7 @@ fn breaker_trips_on_a_dead_peer_and_recovers() {
     let stats = ring.stats(0, 0);
     assert_eq!(stats.quarantined, 0, "the probe closed the breaker");
     assert!(stats.known_keys > 0, "gossip resumed: {stats:?}");
-    assert!(ring.fetch_program(route_fingerprint(&src)).is_some());
+    assert!(ring.fetch_program(fingerprint(&src)).is_some());
 
     handle.shutdown();
 }
@@ -188,7 +193,7 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
     let _ = std::fs::remove_file(&sock);
     let addr = format!("unix:{}", sock.display());
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_sild"))
-        .args(["--listen", &addr, "--shards", "2", "--quiet"])
+        .args(["--listen", &addr, "--quiet"])
         .spawn()
         .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -205,7 +210,7 @@ fn survivor_keeps_serving_after_a_peer_is_killed_dash_nine() {
         Response::Analyzed { summary, .. } => summary,
         other => panic!("{other:?}"),
     };
-    let survivor = ShardedService::new(1, EngineConfig::default());
+    let survivor = Engine::default();
     let ring = test_ring(&survivor, vec![Addr::parse(&addr).unwrap()]);
     ring.gossip_once();
     let summary = analyze(&survivor, &warm_src);
@@ -237,11 +242,11 @@ fn peer_fetch_is_never_reforwarded() {
     let (warm_service, warm_handle) = spawn_daemon("noloop-warm");
     let src = Workload::TreeSum.source(4);
     analyze(&warm_service, &src);
-    let key = route_fingerprint(&src);
+    let key = fingerprint(&src);
 
     // `middle` is cold but *could* fetch the key from `warm` — a
     // peer-originated request must not make it do so.
-    let middle = ShardedService::new(1, EngineConfig::default());
+    let middle = Engine::default();
     let ring = test_ring(&middle, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     match middle.call(Request::peer_fetch(PeerNamespace::Programs, key)) {
@@ -269,7 +274,7 @@ fn peer_fetch_is_never_reforwarded() {
 /// quarantined, never advertising keys.
 #[test]
 fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
-    let service = Arc::new(ShardedService::new(1, EngineConfig::default()).with_peer_serve(false));
+    let service = Arc::new(Engine::default().with_peer_serve(false));
     let src = Workload::TreeSum.source(4);
     analyze(&service, &src);
     let handle = Server::bind(&temp_socket("noserve"), service.clone())
@@ -281,7 +286,7 @@ fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
         other => panic!("{other:?}"),
     }
 
-    let fetcher = ShardedService::new(1, EngineConfig::default());
+    let fetcher = Engine::default();
     let ring = test_ring(&fetcher, vec![handle.addr().clone()]);
     ring.gossip_once();
     ring.gossip_once();
@@ -291,7 +296,7 @@ fn no_peer_serve_daemon_is_flagged_unsupported_not_dead() {
     assert_eq!(stats.quarantines, 0);
     assert_eq!(stats.known_keys, 0, "nothing advertised");
     // Fetches skip the unsupported peer outright.
-    assert!(ring.fetch_program(route_fingerprint(&src)).is_none());
+    assert!(ring.fetch_program(fingerprint(&src)).is_none());
 
     handle.shutdown();
 }
@@ -337,7 +342,7 @@ fn half_open_peer_fails_within_the_deadline_naming_it() {
 
     // Through the ring: a fetch against the mute peer comes back a miss
     // within the deadline (plus slack), and the breaker counted it.
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let config = PeerConfig::new(vec![addr])
         .with_fetch_timeout(Duration::from_millis(100))
         .with_failure_threshold(1);
@@ -399,7 +404,7 @@ fn forged_summary_bodies_from_a_lying_peer_are_refused() {
         }
     });
 
-    let service = ShardedService::new(1, EngineConfig::default());
+    let service = Engine::default();
     let ring = test_ring(&service, vec![Addr::Unix(path.clone())]);
     assert!(
         ring.fetch_summaries(requested_key).is_none(),
@@ -427,9 +432,9 @@ fn cleared_peer_generation_discards_the_stale_advertisement_snapshot() {
     let (warm_service, warm_handle) = spawn_daemon("genclear");
     let src = Workload::TreeSum.source(4);
     analyze(&warm_service, &src);
-    let key = route_fingerprint(&src);
+    let key = fingerprint(&src);
 
-    let cold_service = ShardedService::new(1, EngineConfig::default());
+    let cold_service = Engine::default();
     let ring = test_ring(&cold_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     assert!(ring.stats(0, 0).known_keys > 0, "gossip learned the keys");
@@ -463,7 +468,7 @@ fn background_gossip_loop_learns_and_shuts_down() {
     let (warm_service, warm_handle) = spawn_daemon("bg-gossip");
     analyze(&warm_service, &Workload::TreeSum.source(4));
 
-    let cold = ShardedService::new(1, EngineConfig::default());
+    let cold = Engine::default();
     let config = PeerConfig::new(vec![warm_handle.addr().clone()])
         .with_gossip_interval(Duration::from_millis(25));
     let ring = PeerRing::spawn(config, cold.tracer().clone());
@@ -487,7 +492,7 @@ fn background_gossip_loop_learns_and_shuts_down() {
 }
 
 /// The trace-tree acceptance path: a client request served by an origin
-/// daemon, routed through a shard, missing locally and fetched from a warm
+/// daemon, missing locally and fetched from a warm
 /// peer, leaves ONE assembled span tree on the origin — the origin's
 /// `serve` root, its `peer-fetch` hop, and under that hop the peer's own
 /// `serve` span, adopted off the wire and tagged with the peer's address.
@@ -501,7 +506,7 @@ fn traced_peer_fetch_assembles_one_cross_daemon_tree() {
 
     // The origin is a full daemon (its server mints the trace), peered to
     // the warm one.
-    let origin_service = Arc::new(ShardedService::new(2, EngineConfig::default()));
+    let origin_service = Arc::new(Engine::default());
     let ring = test_ring(&origin_service, vec![warm_handle.addr().clone()]);
     ring.gossip_once();
     let origin_server = Server::bind(&temp_socket("trace-origin"), origin_service).unwrap();

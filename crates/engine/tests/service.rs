@@ -5,8 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sil_engine::service::{
-    ErrorKind, LocalService, RemoteService, Request, Response, Server, Service, ShardedService,
-    PROTOCOL_VERSION,
+    ErrorKind, RemoteService, Request, Response, Server, Service, PROTOCOL_VERSION,
 };
 use sil_engine::{
     Addr, Engine, EngineConfig, ExecutionReport, IncrementalReport, ProcessOptions, ProgramReport,
@@ -139,24 +138,22 @@ fn temp_socket(name: &str) -> Addr {
     Addr::Unix(path)
 }
 
-fn spawn_daemon(name: &str, shards: usize) -> (Arc<ShardedService>, sil_engine::ServerHandle) {
-    let service = Arc::new(ShardedService::new(shards, EngineConfig::default()));
-    let server = Server::bind(&temp_socket(name), service.clone()).unwrap();
-    (service, server.spawn())
+fn spawn_daemon(name: &str) -> (Arc<Engine>, sil_engine::ServerHandle) {
+    let engine = Arc::new(Engine::default());
+    let server = Server::bind(&temp_socket(name), engine.clone()).unwrap();
+    (engine, server.spawn())
 }
 
 /// Three concurrent clients drive cold and warm cycles over every
-/// workload; every report matches the in-process oracle digest, warm
-/// requests are served as program-cache hits, and routing keeps each
-/// program's cache traffic on exactly one shard.
+/// workload; every report matches the in-process oracle digest and warm
+/// requests are served as program-cache hits.
 #[test]
-fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
-    let shard_count = 3;
-    let (service, handle) = spawn_daemon("concurrent", shard_count);
+fn concurrent_clients_get_oracle_results_and_warm_hits() {
+    let (engine, handle) = spawn_daemon("concurrent");
     let addr = handle.addr().to_string();
 
     // In-process oracle: digest per workload from a fresh engine.
-    let oracle = LocalService::new(EngineConfig::default());
+    let oracle = Engine::new(EngineConfig::default());
     let sources: Vec<String> = Workload::ALL
         .iter()
         .map(|w| w.source(w.test_size()))
@@ -197,49 +194,27 @@ fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
         }
     });
 
-    // Warm behavior: repeats hit the one shard that owns each program.
-    // Concurrent cold clients may race a program's very first analysis
-    // (each of the 3 clients can miss it once before the first insert
-    // lands), so misses are bounded per client, not globally unique —
-    // but every request after the cold window must be a hit.
+    // Warm behavior: repeats hit the cache.  Concurrent cold clients may
+    // race a program's very first analysis (each of the 3 clients can miss
+    // it once before the first insert lands), so misses are bounded per
+    // client, not globally unique — but every request after the cold
+    // window must be a hit.
     let clients = 3u64;
     let client_requests = clients * rounds * sources.len() as u64;
-    let stats = service.shard_stats();
-    let hits: u64 = stats.iter().map(|s| s.programs.hits).sum();
-    let misses: u64 = stats.iter().map(|s| s.programs.misses).sum();
+    let stats = engine.stats();
+    let (hits, misses) = (stats.programs.hits, stats.programs.misses);
     assert_eq!(hits + misses, client_requests);
     assert!(
         (sources.len() as u64..=clients * sources.len() as u64).contains(&misses),
         "misses confined to the cold window: {misses}"
     );
     assert!(hits >= client_requests - clients * sources.len() as u64);
-
-    // Per-shard traffic confinement: a foreign shard never sees a byte of
-    // a program's traffic — if routing were not sticky, repeats would
-    // scatter across shards.
-    let mut homed = vec![0usize; shard_count];
-    for src in &sources {
-        homed[service.shard_for_source(src)] += 1;
-    }
-    for (index, shard) in stats.iter().enumerate() {
-        let touched = shard.programs.hits + shard.programs.misses;
-        if homed[index] == 0 {
-            assert_eq!(touched, 0, "shard {index} must stay untouched");
-        } else {
-            assert_eq!(
-                touched,
-                clients * rounds * homed[index] as u64,
-                "shard {index} serves all traffic for its homed programs"
-            );
-        }
-    }
-    // Residency lives in the one shared store: each program cached exactly
-    // once, regardless of how many shards and clients touched it.
-    let store = service.store().stats();
+    // Each program cached exactly once, however many clients touched it.
+    let store = engine.store().stats();
     assert_eq!(
         store.programs.entries,
         sources.len(),
-        "each program cached exactly once in the shared store"
+        "each program cached exactly once in the store"
     );
 
     handle.shutdown();
@@ -249,7 +224,7 @@ fn concurrent_clients_get_oracle_results_and_shards_stay_disjoint() {
 /// is visible in the `Stats` response (the acceptance criterion).
 #[test]
 fn warm_daemon_hit_is_visible_in_stats_response() {
-    let (_service, handle) = spawn_daemon("warmstats", 2);
+    let (_engine, handle) = spawn_daemon("warmstats");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     let src = Workload::AddAndReverse.source(4);
 
@@ -264,11 +239,9 @@ fn warm_daemon_hit_is_visible_in_stats_response() {
     assert_eq!(warm.analysis_digest, cold.analysis_digest);
 
     let (shards, total, store, server) = remote.service_stats().unwrap();
-    assert_eq!(shards.len(), 2);
+    assert_eq!(shards, vec![total], "one engine: a one-element shard list");
     assert_eq!(total.programs.hits, 1, "the warm hit shows in Stats");
     assert_eq!(total.programs.misses, 1);
-    let hot_shards = shards.iter().filter(|s| s.programs.hits > 0).count();
-    assert_eq!(hot_shards, 1, "the hit happened on the program's one shard");
     // The store's own counters travel too, with residency and the live
     // policy choice per namespace.
     assert_eq!(store.programs.entries, 1);
@@ -288,7 +261,7 @@ fn warm_daemon_hit_is_visible_in_stats_response() {
 /// serving current-version requests on the same connection.
 #[test]
 fn protocol_version_mismatch_negotiation() {
-    let (_service, handle) = spawn_daemon("version", 1);
+    let (_engine, handle) = spawn_daemon("version");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
 
     match remote.call(Request::stats().with_version(99)) {
@@ -323,7 +296,7 @@ fn protocol_version_mismatch_negotiation() {
 #[test]
 fn malformed_lines_are_answered_not_fatal() {
     use std::io::{BufRead, BufReader, Write};
-    let (_service, handle) = spawn_daemon("malformed", 1);
+    let (_engine, handle) = spawn_daemon("malformed");
     let Addr::Unix(path) = handle.addr().clone() else {
         panic!("expected a unix socket");
     };
@@ -359,7 +332,7 @@ fn malformed_lines_are_answered_not_fatal() {
 #[test]
 fn hostile_deep_nesting_is_a_parse_error_not_a_crash() {
     use std::io::{BufRead, BufReader, Write};
-    let (_service, handle) = spawn_daemon("deep-nesting", 1);
+    let (_engine, handle) = spawn_daemon("deep-nesting");
     let Addr::Unix(path) = handle.addr().clone() else {
         panic!("expected a unix socket");
     };
@@ -405,7 +378,7 @@ fn hostile_deep_nesting_is_a_parse_error_not_a_crash() {
 /// socket file.
 #[test]
 fn client_shutdown_request_stops_the_daemon() {
-    let (_service, handle) = spawn_daemon("shutdown", 2);
+    let (_engine, handle) = spawn_daemon("shutdown");
     let addr = handle.addr().clone();
     let remote = RemoteService::connect(&addr.to_string()).unwrap();
     match remote.call(Request::shutdown()) {
@@ -425,8 +398,8 @@ fn client_shutdown_request_stops_the_daemon() {
 /// The TCP transport serves the same protocol (port 0 → kernel-assigned).
 #[test]
 fn tcp_transport_works_end_to_end() {
-    let service = Arc::new(ShardedService::new(2, EngineConfig::default()));
-    let server = Server::bind(&Addr::Tcp("127.0.0.1:0".into()), service).unwrap();
+    let engine = Arc::new(Engine::default());
+    let server = Server::bind(&Addr::Tcp("127.0.0.1:0".into()), engine).unwrap();
     let handle = server.spawn();
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     remote.handshake().unwrap();
@@ -447,7 +420,7 @@ fn tcp_transport_works_end_to_end() {
 /// keeps input order, including error slots for broken sources.
 #[test]
 fn daemon_batches_keep_order_and_carry_per_item_errors() {
-    let (_service, handle) = spawn_daemon("batch", 3);
+    let (_engine, handle) = spawn_daemon("batch");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
 
     let mut sources: Vec<String> = Workload::ALL
@@ -581,59 +554,21 @@ fn remote_tcp_timeout_fails_fast() {
     mute.join().unwrap();
 }
 
-/// `ClearCaches` over the wire empties every shard.
+/// `ClearCaches` over the wire empties the store.
 #[test]
 fn clear_caches_over_the_wire() {
-    let (service, handle) = spawn_daemon("clear", 2);
+    let (engine, handle) = spawn_daemon("clear");
     let remote = RemoteService::connect(&handle.addr().to_string()).unwrap();
     for workload in [Workload::TreeSum, Workload::Bisort, Workload::ListReverse] {
         remote
             .process_source(&workload.source(3), &ProcessOptions::default())
             .unwrap();
     }
-    assert_eq!(service.store().stats().programs.entries, 3);
+    assert_eq!(engine.store().stats().programs.entries, 3);
     assert!(matches!(
         remote.call(Request::clear_caches()),
         Response::Cleared { .. }
     ));
-    assert_eq!(service.store().stats().programs.entries, 0);
+    assert_eq!(engine.store().stats().programs.entries, 0);
     handle.shutdown();
-}
-
-/// Routing to a shard — single requests and batch partitioning alike —
-/// shows up as `shard-dispatch` spans in the trace dump, attributed to
-/// the requests that were routed.
-#[test]
-fn shard_routing_is_traced() {
-    let service = ShardedService::new(2, EngineConfig::default());
-    match service.call(Request::analyze(Workload::TreeSum.source(3))) {
-        Response::Analyzed { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    let sources = vec![Workload::Bisort.source(3), Workload::ListSum.source(3)];
-    match service.call(Request::batch(sources, ProcessOptions::default())) {
-        Response::Batch { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    let spans = service.service_trace().unwrap();
-    let dispatches: Vec<_> = spans
-        .iter()
-        .filter(|s| s.span == "shard-dispatch")
-        .collect();
-    assert_eq!(dispatches.len(), 2, "one per routed request: {spans:?}");
-    assert!(
-        dispatches.iter().all(|s| s.request != 0),
-        "spans must carry the minted request id: {dispatches:?}"
-    );
-    // A single shard routes trivially and records no dispatch span.
-    let single = ShardedService::new(1, EngineConfig::default());
-    match single.call(Request::analyze(Workload::TreeSum.source(3))) {
-        Response::Analyzed { .. } => {}
-        other => panic!("unexpected: {other:?}"),
-    }
-    assert!(single
-        .service_trace()
-        .unwrap()
-        .iter()
-        .all(|s| s.span != "shard-dispatch"));
 }
